@@ -1,9 +1,9 @@
 """Command-line surface: transforms, solvers, verifiers, and the pipeline.
 
 Exit codes carry the decision: 0 YES, 1 NO, 2 UNKNOWN or budget exhausted,
-64 usage errors, 65 validation errors.  Artifacts go to stdout (or the -o
-target); human diagnostics go to stderr, so redirected output stays clean
-and re-parseable.
+64 usage errors, 65 validation errors, 73 output that cannot be written.
+Artifacts go to stdout (or the -o target); human diagnostics go to stderr,
+so redirected output stays clean and re-parseable.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class _UsageError(Exception):
     pass
 
 
+class _WriteError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -57,6 +61,14 @@ def _read(path):
             return fh.read()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from None
+
+
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _WriteError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _simple(path):
@@ -97,8 +109,7 @@ def _emit(args, artifact, status, detail="", extras=None):
     else:
         blob = artifact if artifact is not None else ""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(blob)
+        _write(args.out, blob)
         print(f"wrote {args.out}", file=sys.stderr)
     elif blob:
         sys.stdout.write(blob)
@@ -221,8 +232,7 @@ def cmd_vm_solve_star(args):
     )
     _, H = reduce_starvm_to_isovm(G, args.k)
     if args.target:
-        with open(args.target, "w") as fh:
-            fh.write(serialize_graph(H))
+        _write(args.target, serialize_graph(H))
         print(f"wrote {args.target}", file=sys.stderr)
     if dec.is_yes:
         subset, w = dec.witness
@@ -277,26 +287,25 @@ def cmd_pipeline(args):
     chain = bundle_chain_for(R)
     verify_bundle_chain(chain)
     outdir = args.out or "pipeline_out"
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        raise _WriteError(f"cannot write {outdir}: {e.strerror}") from None
     names = ("01_cubham.json", "02_isosoet.json", "03_starvm.json", "04_isovm.json")
     written = []
     for name, b in zip(names, chain):
         path = os.path.join(outdir, name)
-        with open(path, "w") as fh:
-            fh.write(serialize_bundle(b))
+        _write(path, serialize_bundle(b))
         written.append(path)
-    with open(os.path.join(outdir, "expected.txt"), "w") as fh:
-        fh.write(dec.status + "\n")
+    _write(os.path.join(outdir, "expected.txt"), dec.status + "\n")
     written.append(os.path.join(outdir, "expected.txt"))
     if dec.is_yes:
         cycle = dec.witness
-        with open(os.path.join(outdir, "ham_cycle.txt"), "w") as fh:
-            fh.write(" ".join(cycle) + "\n")
+        _write(os.path.join(outdir, "ham_cycle.txt"), " ".join(cycle) + "\n")
         written.append(os.path.join(outdir, "ham_cycle.txt"))
         cert = build_soet_from_ham(R, cycle)
         cert_text = f"subset {serialize_subset(cert.subset)}\n" + serialize_tour(cert.tour)
-        with open(os.path.join(outdir, "soet_cert.txt"), "w") as fh:
-            fh.write(cert_text)
+        _write(os.path.join(outdir, "soet_cert.txt"), cert_text)
         written.append(os.path.join(outdir, "soet_cert.txt"))
     if args.format == "json":
         obj = {"status": dec.status, "files": written}
@@ -408,6 +417,9 @@ def run_command(argv) -> int:
     except ResourceLimitError as e:
         print(f"unsettled: {e}", file=sys.stderr)
         return 2
+    except _WriteError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 73
 
 
 def main():

@@ -312,11 +312,15 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
 
     F must be connected and 4-regular.  The search walks anchored tours
     (edge 0 first, from its lesser endpoint) and prunes on the visit-word
-    constraints, on connectivity of the unused edges, and on reachability of
-    the next forced visit.  `budget` caps the number of extension steps;
-    exceeding it raises ResourceLimitError, leaving the question open.  With
-    deterministic=True the whole anchored tree is walked and the certificate
-    built on the least accepting tour class; otherwise the first hit wins.
+    constraints, on Fleury's bridge rule, and on reachability of the next
+    forced visit.  Every unused edge is reachable from the current vertex
+    before each step, so a step prev -> cur strands no edge exactly when it
+    took a loop, left prev without unused edges, or else when cur still
+    reaches prev over unused edges.  `budget` caps the number of extension
+    steps; exceeding it raises ResourceLimitError, leaving the question
+    open.  With deterministic=True the whole anchored tree is walked and the
+    certificate built on the least accepting tour class; otherwise the first
+    hit wins.
     """
     Vp = frozenset(vertex_subset)
     if not Vp:
@@ -348,9 +352,12 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
 
     L = F.n_edges
     ends = F.edges
-    inc = {v: F.incident(v) for v in F.vertices}
+    # (edge id, far end) pairs at each vertex, edge ids ascending
+    nbrs = {v: [(e, ends[e][1] if ends[e][0] == v else ends[e][0])
+                for e in F.incident(v)] for v in F.vertices}
     anchor = ends[0][0]
     used = [False] * L
+    free = {v: 4 for v in F.vertices}  # unused edge ends at each vertex
     vseq = [anchor]
     eseq = []
     visits = []
@@ -358,22 +365,24 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
     nodes = 0
     best = None  # least (class key, certificate) pair in deterministic mode
 
-    def rest_connected(cur):
-        if len(eseq) == L:
-            return True
+    def reaches(cur, targets, blocked):
+        # can cur reach a target over unused edges without passing `blocked`
         seen = {cur}
         stack = [cur]
         while stack:
-            x = stack.pop()
-            for eid in inc[x]:
+            for eid, y in nbrs[stack.pop()]:
                 if used[eid]:
                     continue
-                a, b = ends[eid]
-                y = b if x == a else a
-                if y not in seen:
+                if y in targets:
+                    return True
+                if y not in blocked and y not in seen:
                     seen.add(y)
                     stack.append(y)
-        return all(used[e] or ends[e][0] in seen for e in range(L))
+        return False
+
+    def rest_connected(cur):
+        prev = vseq[-2]
+        return prev == cur or not free[prev] or reaches(cur, {prev}, ())
 
     def gap_ok(cur):
         # can the next forced V' arrival be reached without another V' visit
@@ -381,21 +390,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
         if done >= 2 * k:
             return True
         targets = (Vp - firstseen) if done < k else {visits[done - k]}
-        seen = {cur}
-        stack = [cur]
-        while stack:
-            x = stack.pop()
-            for eid in inc[x]:
-                if used[eid]:
-                    continue
-                a, b = ends[eid]
-                y = b if x == a else a
-                if y in targets:
-                    return True
-                if y not in Vp and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
+        return reaches(cur, targets, Vp)
 
     def admissible(nxt):
         pos = len(visits)
@@ -426,7 +421,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
             if best is None or key < best[0]:
                 best = (key, cert)
             return None
-        for eid in (0,) if not eseq else inc[cur]:
+        for eid, nxt in nbrs[cur][:1] if not eseq else nbrs[cur]:
             if used[eid]:
                 continue
             nodes += 1
@@ -434,12 +429,12 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
                 raise ResourceLimitError(
                     f"SOET search exceeded {budget} steps", count=nodes
                 )
-            a, b = ends[eid]
-            nxt = b if cur == a else a
             arriving = nxt in Vp
             if arriving and not admissible(nxt):
                 continue
             used[eid] = True
+            free[cur] -= 1
+            free[nxt] -= 1
             eseq.append(eid)
             vseq.append(nxt)
             if arriving:
@@ -456,6 +451,8 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
                     firstseen.discard(nxt)
             vseq.pop()
             eseq.pop()
+            free[cur] += 1
+            free[nxt] += 1
             used[eid] = False
         return None
 

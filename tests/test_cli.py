@@ -151,6 +151,16 @@ def test_usage_and_validation_errors(files, worked_file, f0_file, capsys):
     assert "usage error" in err and "error:" in err
 
 
+def test_write_failures(files, worked_file, capsys):
+    k4 = files("k4.graph", serialize_graph(complete_graph("abcd")))
+    bad = os.path.join(files("plain_file", ""), "x")  # a file's child
+    assert run_command(["expand", k4, "-o", bad]) == 73
+    assert run_command(["vm-solve-star", worked_file, "4", "--target", bad]) == 73
+    assert run_command(["pipeline", k4, "-o", bad]) == 73
+    err = capsys.readouterr().err
+    assert err.count(f"error: cannot write {bad}: ") == 3
+
+
 def test_json_format(worked_file, capsys):
     code = run_command(["vm-solve-star", worked_file, "4", "--format", "json"])
     assert code == 0

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from vmkit import (
@@ -13,11 +15,14 @@ from vmkit import (
     induced_word,
     is_soet,
     iso_soet_decide,
+    k3_expand,
     maximal_subwords,
     multigraph_from_word,
     soet_search,
     tour_from_word,
 )
+
+from corpus_helpers import all_four_regular_multigraphs, complete_graph
 
 X0 = Dow.from_text("adcbaebced")
 FX0 = multigraph_from_word(X0)
@@ -142,6 +147,49 @@ def test_soet_search_validation_and_budget():
         soet_search(MultiGraph("ab", [("a", "b")] * 2), frozenset("a"))
     with pytest.raises(ResourceLimitError):
         soet_search(FX0, frozenset("abcd"), budget=3)
+
+
+def test_soet_search_agrees_with_tour_enumeration():
+    # every subset of every connected 4-regular multigraph on at most 5
+    # vertices, loops included, against the classes that enumeration finds
+    cases = 0
+    for n in range(1, 6):
+        for F in all_four_regular_multigraphs(n):
+            classes = list(enumerate_euler_tours(F))
+            for k in range(1, n + 1):
+                for subset in combinations(F.vertices, k):
+                    Vp = frozenset(subset)
+                    hits = [U for U in classes if is_soet(U, Vp) is not None]
+                    fast = soet_search(F, Vp)
+                    det = soet_search(F, Vp, deterministic=True)
+                    assert (fast is not None) == bool(hits), (F, Vp)
+                    assert (det is not None) == bool(hits), (F, Vp)
+                    if hits:
+                        least = min(hits, key=lambda U: (U.edge_seq, U.vertex_seq))
+                        assert det.tour == least, (F, Vp)
+                    cases += 1
+    assert cases == 1053
+
+
+def test_soet_search_step_counts():
+    # the least budget that lets each search finish; a change to the pruning
+    # must keep these, or `budget` would mean another amount of work
+    K4X = k3_expand(complete_graph("abcd"))
+    yes = frozenset(f"{u}^({v})" for u, v in ("ab", "ac", "ba", "bd", "ca", "cd", "db", "dc"))
+    no = frozenset(f"{u}^({v})" for u, v in ("ab", "ac", "ba", "bc", "ca", "cd", "db", "dc"))
+    for F, Vp, deterministic, steps, answer in (
+        (FX0, frozenset("abcd"), False, 16, True),
+        (FX0, frozenset("abcd"), True, 160, True),
+        (FX0, frozenset("abce"), True, 0, False),  # rejected before any step
+        (K4X, yes, False, 4533, True),
+        (K4X, yes, True, 29937, True),
+        (K4X, no, True, 3063, False),
+    ):
+        found = soet_search(F, Vp, budget=steps, deterministic=deterministic)
+        assert (found is not None) == answer
+        if steps:
+            with pytest.raises(ResourceLimitError):
+                soet_search(F, Vp, budget=steps - 1, deterministic=deterministic)
 
 
 def test_single_vertex_subset_always_works():
