@@ -91,10 +91,26 @@ def _budget(args):
     env = os.environ.get("VMKIT_BUDGET")
     if env:
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise ValueError(f"VMKIT_BUDGET must be a number, got {env!r}") from None
+        if budget < 0:
+            raise ValueError(f"VMKIT_BUDGET must not be negative, got {env!r}")
+        return budget
     return None
+
+
+def _check_solver_args(args):
+    """Range checks argparse cannot express, made before any decider runs."""
+    if not hasattr(args, "workers"):
+        return
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise _UsageError(
+            f"argument --workers: must be between 1 and {cpus}, got {args.workers}"
+        )
+    if args.budget is not None and args.budget < 0:
+        raise _UsageError(f"argument --budget: must not be negative, got {args.budget}")
 
 
 def _emit(args, artifact, status, detail="", extras=None):
@@ -407,6 +423,7 @@ def build_parser():
 def run_command(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_solver_args(args)
         return _HANDLERS[args.cmd](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

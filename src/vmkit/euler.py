@@ -19,8 +19,8 @@ from functools import partial
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .graphs import MultiGraph, connected_components, is_regular
-from .parallel import pmap
+from .graphs import MultiGraph, adjacency_components, connected_components, is_regular
+from .parallel import scan_subsets
 from .words import Dow
 
 
@@ -175,7 +175,9 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
     edge's lesser endpoint.  Every class of tours contains such a
     representative, and duplicates (possible when edge 0 is a loop) are
     removed with the canonical class key.  If limit is given, finding a
-    further class beyond that many raises ResourceLimitError.
+    further class beyond that many raises ResourceLimitError.  The walk
+    recurses once per edge; a tour too long for the interpreter's recursion
+    limit raises ResourceLimitError as well.
     """
     _check_eulerian_preconditions(F)
     L = F.n_edges
@@ -214,7 +216,12 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
             eseq.pop()
             used[eid] = False
 
-    yield from walk(anchor)
+    try:
+        yield from walk(anchor)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"tour walk too deep to recurse over {L} edges", count=len(seen)
+        ) from None
 
 
 def is_soet(U: EulerianTour, vertex_subset):
@@ -290,18 +297,7 @@ def _soet_quick_no(F, Vp):
         return False
     if any(len(ns) > 2 for ns in adj.values()):
         return True
-    left = set(Vp)
-    while left:
-        start = min(left)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        left -= comp
+    for comp in adjacency_components(adj):
         if len(comp) < k and all(len(adj[x]) == 2 for x in comp):
             return True  # a cycle through fewer than all of V'
     return False
@@ -318,9 +314,9 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
     took a loop, left prev without unused edges, or else when cur still
     reaches prev over unused edges.  `budget` caps the number of extension
     steps; exceeding it raises ResourceLimitError, leaving the question
-    open.  With deterministic=True the whole anchored tree is walked and the
-    certificate built on the least accepting tour class; otherwise the first
-    hit wins.
+    open, and so does a tour too long for the recursive walk.  With
+    deterministic=True the whole anchored tree is walked and the certificate
+    built on the least accepting tour class; otherwise the first hit wins.
     """
     Vp = frozenset(vertex_subset)
     if not Vp:
@@ -456,7 +452,12 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
             used[eid] = False
         return None
 
-    res = walk(anchor)
+    try:
+        res = walk(anchor)
+    except RecursionError:
+        raise ResourceLimitError(
+            f"SOET search too deep to recurse over {L} edges", count=nodes
+        ) from None
     if not deterministic:
         return res
     if best is None:
@@ -513,11 +514,7 @@ def maximal_subwords(U: EulerianTour, vertex_subset, u, v):
 
 
 def _soet_subset_task(F, budget, deterministic, subset):
-    try:
-        cert = soet_search(F, subset, budget=budget, deterministic=deterministic)
-    except ResourceLimitError as e:
-        return ("unknown", e.count)
-    return ("yes", cert) if cert is not None else ("no", None)
+    return soet_search(F, subset, budget=budget, deterministic=deterministic)
 
 
 def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, workers=1):
@@ -536,19 +533,5 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     n = len(F.vertices)
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}")
-    subsets = list(combinations(F.vertices, k))
     task = partial(_soet_subset_task, F, budget, deterministic)
-    chunk = max(1, workers) * 16
-    unknown = 0
-    for i in range(0, len(subsets), chunk):
-        block = subsets[i : i + chunk]
-        for subset, (tag, payload) in zip(block, pmap(task, block, workers=workers)):
-            if tag == "yes":
-                return (frozenset(subset), payload)
-            if tag == "unknown":
-                unknown += 1
-    if unknown:
-        raise ResourceLimitError(
-            f"{unknown} subset searches exhausted the budget", count=unknown
-        )
-    return None
+    return scan_subsets(task, combinations(F.vertices, k), workers)

@@ -179,21 +179,13 @@ def is_regular(F, d: int) -> bool:
     return all(F.degree(v) == d for v in F.vertices)
 
 
-def connected_components(F):
-    """Partition of the vertices into connected components.
+def adjacency_components(adj):
+    """Connected components of the graph given as {vertex: neighbours}.
 
-    Works for SimpleGraph and MultiGraph alike; returns a tuple of frozensets
-    ordered by least member.
+    Returns a tuple of frozensets ordered by least member.
     """
-    if isinstance(F, SimpleGraph):
-        adj = {v: set(F.neighbors(v)) for v in F.vertices}
-    else:
-        adj = {v: set() for v in F.vertices}
-        for u, v in F.edges:
-            adj[u].add(v)
-            adj[v].add(u)
     comps = []
-    left = set(F.vertices)
+    left = set(adj)
     while left:
         start = min(left)
         comp = {start}
@@ -206,7 +198,23 @@ def connected_components(F):
                     frontier.append(y)
         left -= comp
         comps.append(frozenset(comp))
-    return tuple(sorted(comps, key=min))
+    return tuple(comps)
+
+
+def connected_components(F):
+    """Partition of the vertices into connected components.
+
+    Works for SimpleGraph and MultiGraph alike; returns a tuple of frozensets
+    ordered by least member.
+    """
+    if isinstance(F, SimpleGraph):
+        adj = {v: F.neighbors(v) for v in F.vertices}
+    else:
+        adj = {v: set() for v in F.vertices}
+        for u, v in F.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adjacency_components(adj)
 
 
 def find_isomorphism(G: SimpleGraph, H: SimpleGraph):

@@ -31,8 +31,8 @@ from .lc import (
     lc_word_between,
     local_complement,
 )
-from .parallel import pmap
-from .reduction import canonical_cycle, reduce_starvm_to_isovm, require_cubic
+from .parallel import scan_subsets
+from .reduction import reduce_starvm_to_isovm, require_cubic
 from .words import alternance_graph, induced_subword
 
 
@@ -292,35 +292,38 @@ def _make_star_accept(wmask, labels, k):
     return accept
 
 
-def _star_task(G, k, budget, deterministic, subset):
+def _star_task(G, H, budget, deterministic, subset):
     eng = _ElimSearch(G, subset, budget=budget, deterministic=deterministic)
-    eng.accept = _make_star_accept(eng.wmask, eng.labels, k)
-    try:
-        res = eng.run()
-    except ResourceLimitError as e:
-        return ("unknown", e.count)
+    eng.accept = _make_star_accept(eng.wmask, eng.labels, len(H.vertices))
+    res = eng.run()
     if res is None:
-        return ("no", None)
-    ops, center = res
-    return ("yes", (ops, eng.labels[center]))
+        return None
+    ops, c = res
+    center = eng.labels[c]
+    leaves = sorted(set(subset) - {center})
+    iso = [(center, H.vertices[0])] + list(zip(leaves, H.vertices[1:]))
+    return ops, tuple(iso)
 
 
-def _scan_subsets(task, subsets, workers):
-    """First lexicographic YES, else the number of unsettled subsets.
+def _decide_subsets(G, H, task, workers, within_component=True):
+    """Decision from a scan of the |V(H)|-subsets of G in lexicographic order.
 
-    pmap preserves input order, so the outcome is the same for any worker
-    count.
+    With within_component, only subsets inside one component of G are
+    candidates.  The first YES payload (ops, iso) is replayed as a VmWitness.
     """
-    chunk = max(1, workers) * 16
-    unknown = 0
-    for i in range(0, len(subsets), chunk):
-        block = subsets[i : i + chunk]
-        for subset, (tag, payload) in zip(block, pmap(task, block, workers=workers)):
-            if tag == "yes":
-                return subset, payload, unknown
-            if tag == "unknown":
-                unknown += 1
-    return None, None, unknown
+    subsets = combinations(G.vertices, len(H.vertices))
+    if within_component:
+        comps = connected_components(G)
+        subsets = [s for s in subsets if any(set(s) <= c for c in comps)]
+    try:
+        found = scan_subsets(task, subsets, workers)
+    except ResourceLimitError as e:
+        return Decision("unknown", None, f"{e.count} subsets hit the budget")
+    if found is None:
+        return Decision("no", None, "exhausted all candidate subsets")
+    subset, (ops, iso) = found
+    w = _require_verified(G, H, VmWitness(tuple(ops), iso))
+    return Decision("yes", (subset, w), f"V' = {{{' '.join(sorted(subset))}}}")
 
 
 def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, workers=1) -> Decision:
@@ -340,19 +343,8 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
         ops = tuple(("DEL", u) for u in G.vertices if u != v)
         w = _require_verified(G, H, VmWitness(ops, ((v, H.vertices[0]),)))
         return Decision("yes", (frozenset((v,)), w), "single vertex")
-    comps = connected_components(G)
-    subsets = [s for s in combinations(G.vertices, k) if any(set(s) <= c for c in comps)]
-    task = partial(_star_task, G, k, budget, deterministic)
-    subset, payload, unknown = _scan_subsets(task, subsets, workers)
-    if subset is not None:
-        ops, center = payload
-        leaves = sorted(set(subset) - {center})
-        iso = [(center, H.vertices[0])] + list(zip(leaves, H.vertices[1:]))
-        w = _require_verified(G, H, VmWitness(tuple(ops), tuple(iso)))
-        return Decision("yes", (frozenset(subset), w), f"V' = {{{' '.join(sorted(subset))}}}")
-    if unknown:
-        return Decision("unknown", None, f"{unknown} subsets hit the budget")
-    return Decision("no", None, "exhausted all candidate subsets")
+    task = partial(_star_task, G, H, budget, deterministic)
+    return _decide_subsets(G, H, task, workers)
 
 
 def _orbit_graphs(H, cap):
@@ -399,14 +391,7 @@ def _iso_task(G, H, horbit_edges, budget, deterministic, subset):
                       connected_target=connected_h)
     cache = {}
     eng.accept = _make_iso_accept(eng.wmask, eng.labels, horbit, hsizes, cache)
-    try:
-        res = eng.run()
-    except ResourceLimitError as e:
-        return ("unknown", e.count)
-    if res is None:
-        return ("no", None)
-    ops, iso = res
-    return ("yes", (ops, iso))
+    return eng.run()
 
 
 def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=False,
@@ -428,22 +413,9 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
     horbit_edges = [(M.edges, w) for M, w in horbit]
-    k = len(H.vertices)
-    if len(connected_components(H)) == 1:
-        comps = connected_components(G)
-        subsets = [s for s in combinations(G.vertices, k)
-                   if any(set(s) <= c for c in comps)]
-    else:
-        subsets = list(combinations(G.vertices, k))
     task = partial(_iso_task, G, H, horbit_edges, budget, deterministic)
-    subset, payload, unknown = _scan_subsets(task, subsets, workers)
-    if subset is not None:
-        ops, iso = payload
-        w = _require_verified(G, H, VmWitness(tuple(ops), iso))
-        return Decision("yes", (frozenset(subset), w), f"V' = {{{' '.join(sorted(subset))}}}")
-    if unknown:
-        return Decision("unknown", None, f"{unknown} subsets hit the budget")
-    return Decision("no", None, "exhausted all candidate subsets")
+    return _decide_subsets(G, H, task, workers,
+                           within_component=len(connected_components(H)) == 1)
 
 
 def labeled_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None,

@@ -141,6 +141,19 @@ def test_budget_flag_and_env(worked_file, f0_file, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_workers_and_budget_ranges(worked_file, f0_file, monkeypatch, capsys):
+    # rejected before any decider runs, so no worker is ever forked
+    for n in (0, -1, (os.cpu_count() or 1) + 1):
+        assert run_command(["vm-solve-star", worked_file, "4", "--workers", str(n)]) == 64
+        assert run_command(["soet-solve", f0_file, "4", "--workers", str(n)]) == 64
+        assert "argument --workers: must be between 1 and" in capsys.readouterr().err
+    assert run_command(["vm-solve", worked_file, worked_file, "--budget", "-1"]) == 64
+    assert "argument --budget: must not be negative" in capsys.readouterr().err
+    monkeypatch.setenv("VMKIT_BUDGET", "-1")
+    assert run_command(["vm-solve-star", worked_file, "4"]) == 65
+    assert "VMKIT_BUDGET must not be negative" in capsys.readouterr().err
+
+
 def test_usage_and_validation_errors(files, worked_file, f0_file, capsys):
     assert run_command(["no-such-command"]) == 64
     assert run_command(["soet-solve", f0_file]) == 64

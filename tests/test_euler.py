@@ -217,6 +217,31 @@ def test_iso_soet_decide_budget_and_workers():
     assert a == b
 
 
+def test_budgeted_iso_soet_decide_is_worker_independent():
+    # fast mode on the K3-expansion of K4, k = 8 (495 subsets): budget 3000
+    # first says yes at subset 241 after 6 open ones, where the unbudgeted
+    # scan says yes at subset 169; budget 50 leaves 69 open and no yes
+    K4X = k3_expand(complete_graph("abcd"))
+    one = iso_soet_decide(K4X, 8, budget=3000, workers=1)
+    assert one == iso_soet_decide(K4X, 8, budget=3000, workers=2)
+    assert one[0] != iso_soet_decide(K4X, 8)[0]
+    for workers in (1, 2):
+        with pytest.raises(ResourceLimitError) as e:
+            iso_soet_decide(K4X, 8, budget=50, workers=workers)
+        assert str(e.value) == "69 subset searches exhausted the budget"
+        assert e.value.count == 69
+
+
+def test_deep_tour_walks_raise_resource_limit():
+    # a doubled 600-cycle has 1,200 edges; both walks recurse once per edge
+    vs = [f"v{i:03d}" for i in range(600)]
+    F = MultiGraph(vs, [(vs[i], vs[(i + 1) % 600]) for i in range(600)] * 2)
+    with pytest.raises(ResourceLimitError, match="1200 edges"):
+        soet_search(F, {"v000", "v001"}, deterministic=True)
+    with pytest.raises(ResourceLimitError, match="1200 edges"):
+        next(enumerate_euler_tours(F))
+
+
 def test_consecutive_pairs_and_maximal_subwords():
     U = tour_from_word(FX0, SOET_WORD)
     Vp = frozenset("abcd")

@@ -214,6 +214,28 @@ def test_budget_turns_unknown():
     assert d.is_unknown
 
 
+def test_budgeted_decisions_are_worker_independent():
+    # budgets that leave subsets open, measured per subset: star k = 5 at
+    # budget 20 first says yes at subset 57 after 57 open ones, at budget 10
+    # all 252 stay open; K4 at budget 10 says yes at subset 3 after 3 open
+    # ones, at budget 5 all 210 stay open
+    G = petersen()
+    for decide, status in (
+        (lambda w: star_vm_decide(G, 5, budget=20, workers=w), "yes"),
+        (lambda w: star_vm_decide(G, 5, budget=10, workers=w), "unknown"),
+        (lambda w: iso_vm_decide(G, K4, budget=10, workers=w), "yes"),
+        (lambda w: iso_vm_decide(G, K4, budget=5, workers=w), "unknown"),
+    ):
+        one = decide(1)
+        assert one.status == status
+        assert one == decide(2)
+    assert star_vm_decide(G, 5, budget=10).detail == "252 subsets hit the budget"
+    assert iso_vm_decide(G, K4, budget=5).detail == "210 subsets hit the budget"
+    # the open subsets before the budgeted YES would have said yes unbudgeted
+    assert star_vm_decide(G, 5, budget=20).witness[0] != star_vm_decide(G, 5).witness[0]
+    assert iso_vm_decide(G, K4, budget=10).witness[0] != iso_vm_decide(G, K4).witness[0]
+
+
 def test_deterministic_mode_is_worker_independent():
     base = star_vm_decide(worked_graph(), 4, deterministic=True, workers=1)
     assert base == star_vm_decide(worked_graph(), 4, deterministic=True, workers=2)
