@@ -12,3 +12,10 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, message, count=None):
         super().__init__(message)
         self.count = count
+
+
+class WorkerStartError(OSError):
+    """The worker processes of a parallel scan could not be started.
+
+    strerror names the worker count and the operating system's reason.
+    """

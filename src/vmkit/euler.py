@@ -525,7 +525,8 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     subsets are exhausted without a hit.  When a budget is given and some
     subset search dies on it while no other subset says yes, the outcome is
     unsettled and ResourceLimitError is raised.  The answer does not depend
-    on the worker count.
+    on the worker count.  Subsets that _soet_quick_no rejects are answered
+    in this process and never reach the scan.
     """
     if not is_regular(F, 4):
         raise ValueError("ISO-SOET needs a 4-regular multigraph")
@@ -534,4 +535,6 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}")
     task = partial(_soet_subset_task, F, budget, deterministic)
-    return scan_subsets(task, combinations(F.vertices, k), workers)
+    survivors = (s for s in combinations(F.vertices, k)
+                 if not _soet_quick_no(F, frozenset(s)))
+    return scan_subsets(task, survivors, workers)

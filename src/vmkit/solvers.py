@@ -166,8 +166,11 @@ def _bits(m):
 def _bit_lc(rows, v):
     m = rows[v]
     out = list(rows)
-    for i in _bits(m):
-        out[i] ^= m & ~(1 << i)
+    rest = m
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        out[b.bit_length() - 1] ^= m ^ b
     return tuple(out)
 
 
@@ -211,15 +214,18 @@ class _ElimSearch:
         # the kept vertices must share a component; complementation never
         # splits or merges components and deletion never merges them
         want = self.wmask
-        comp = want & -want
-        frontier = comp
-        while frontier:
+        comp = frontier = want & -want
+        while want & ~comp:
             nxt = 0
-            for i in _bits(frontier):
-                nxt |= rows[i]
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= rows[b.bit_length() - 1]
             frontier = nxt & ~comp
+            if not frontier:
+                return False
             comp |= frontier
-        return want & ~comp == 0
+        return True
 
     def _options(self, rows, v):
         yield [], rows
@@ -253,6 +259,7 @@ class _ElimSearch:
             return None if not self.deterministic else False
         v = self.victims[p]
         vb = 1 << v
+        others = ~vb
         label = self.labels[v]
         accepted = False
         for ops, nrows in self._options(rows, v):
@@ -262,8 +269,9 @@ class _ElimSearch:
                     f"elimination search exceeded {self.budget} steps",
                     count=self.nodes,
                 )
-            drows = tuple(0 if i == v else r & ~vb for i, r in enumerate(nrows))
-            res = self._walk(drows, alive & ~vb, p + 1, prefix + ops + [("DEL", label)])
+            drows = [r & others for r in nrows]
+            drows[v] = 0
+            res = self._walk(tuple(drows), alive & others, p + 1, prefix + ops + [("DEL", label)])
             if self.deterministic:
                 accepted = accepted or res
             elif res is not None:
@@ -314,7 +322,7 @@ def _decide_subsets(G, H, task, workers, within_component=True):
     subsets = combinations(G.vertices, len(H.vertices))
     if within_component:
         comps = connected_components(G)
-        subsets = [s for s in subsets if any(set(s) <= c for c in comps)]
+        subsets = (s for s in subsets if any(set(s) <= c for c in comps))
     try:
         found = scan_subsets(task, subsets, workers)
     except ResourceLimitError as e:
@@ -347,50 +355,60 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
     return _decide_subsets(G, H, task, workers)
 
 
-def _orbit_graphs(H, cap):
-    """The LC orbit of H as concrete graphs, with the word reaching each."""
-    return [(SimpleGraph(H.vertices, e), w) for e, w in _orbit_words(H, cap).items()]
+def _orbit_buckets(H, cap):
+    """H's LC orbit as {sorted degree sequence: [(edge set, word), ...]}.
+
+    Each member comes with the LC word reaching it from H; within a bucket
+    the members keep the orbit's breadth-first order.
+    """
+    buckets = {}
+    for edges, word in _orbit_words(H, cap).items():
+        M = SimpleGraph(H.vertices, edges)
+        degrees = tuple(sorted(M.degree(v) for v in M.vertices))
+        buckets.setdefault(degrees, []).append((edges, word))
+    return buckets
 
 
-def _make_iso_accept(wmask, labels, horbit, hsizes, cache):
+def _make_iso_accept(wmask, labels, hvertices, buckets):
     wbits = list(_bits(wmask))
     wlabels = tuple(labels[i] for i in wbits)
+    members = {}  # orbit member graphs, each built on first use
+    cache = {}
 
     def accept(rows):
-        edges = []
-        for i in wbits:
-            for j in _bits(rows[i]):
-                if j > i:
-                    edges.append((labels[i], labels[j]))
-        S = SimpleGraph(wlabels, edges)
-        key = S.edges
+        # isomorphic graphs share their degree sequence, so only the
+        # members in the survivor's bucket can match it
+        bucket = buckets.get(tuple(sorted(rows[i].bit_count() for i in wbits)))
+        if bucket is None:
+            return None
+        key = tuple(rows[i] for i in wbits)
         if key in cache:
             return cache[key]
+        edges = [(labels[i], labels[j]) for i in wbits for j in _bits(rows[i]) if j > i]
+        S = SimpleGraph(wlabels, edges)
         res = None
-        if sorted(len(c) for c in connected_components(S)) == hsizes:
-            for M, word in horbit:
-                psi = find_isomorphism(S, M)
-                if psi is None:
-                    continue
-                # undo the word that led from H to M, transported through psi
-                inv = {t: s for s, t in psi.items()}
-                back = tuple(("LC", inv[x]) for x in reversed(word))
-                res = (back, tuple(psi.items()))
-                break
+        for medges, word in bucket:
+            M = members.get(medges)
+            if M is None:
+                M = members[medges] = SimpleGraph(hvertices, medges)
+            psi = find_isomorphism(S, M)
+            if psi is None:
+                continue
+            # undo the word that led from H to M, transported through psi
+            inv = {t: s for s, t in psi.items()}
+            back = tuple(("LC", inv[x]) for x in reversed(word))
+            res = (back, tuple(psi.items()))
+            break
         cache[key] = res
         return res
 
     return accept
 
 
-def _iso_task(G, H, horbit_edges, budget, deterministic, subset):
-    horbit = [(SimpleGraph(H.vertices, e), w) for e, w in horbit_edges]
-    hsizes = sorted(len(c) for c in connected_components(H))
-    connected_h = len(hsizes) == 1
+def _iso_task(G, H, buckets, budget, deterministic, subset):
     eng = _ElimSearch(G, subset, budget=budget, deterministic=deterministic,
-                      connected_target=connected_h)
-    cache = {}
-    eng.accept = _make_iso_accept(eng.wmask, eng.labels, horbit, hsizes, cache)
+                      connected_target=len(connected_components(H)) == 1)
+    eng.accept = _make_iso_accept(eng.wmask, eng.labels, H.vertices, buckets)
     return eng.run()
 
 
@@ -409,11 +427,10 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
     if len(H.vertices) > len(G.vertices):
         raise ValueError("H must not have more vertices than G")
     try:
-        horbit = _orbit_graphs(H, orbit_cap)
+        buckets = _orbit_buckets(H, orbit_cap)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
-    horbit_edges = [(M.edges, w) for M, w in horbit]
-    task = partial(_iso_task, G, H, horbit_edges, budget, deterministic)
+    task = partial(_iso_task, G, H, buckets, budget, deterministic)
     return _decide_subsets(G, H, task, workers,
                            within_component=len(connected_components(H)) == 1)
 

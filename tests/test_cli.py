@@ -1,6 +1,8 @@
 """End-to-end command tests through run_command, exit codes included."""
 
+import errno
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -172,6 +174,20 @@ def test_write_failures(files, worked_file, capsys):
     assert run_command(["pipeline", k4, "-o", bad]) == 73
     err = capsys.readouterr().err
     assert err.count(f"error: cannot write {bad}: ") == 3
+
+
+def test_worker_fork_failure(worked_file, f0_file, files, monkeypatch, capsys):
+    def no_fork(*args, **kwargs):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_fork)
+    k3 = files("k3.graph", serialize_graph(complete_graph("xyz")))
+    for argv in (["vm-solve", worked_file, k3], ["vm-solve-star", worked_file, "4"],
+                 ["soet-solve", f0_file, "3"]):
+        assert run_command(argv + ["--workers", "2"]) == 71
+        err = capsys.readouterr().err
+        assert err == f"error: cannot start 2 workers: {os.strerror(errno.EAGAIN)}\n"
 
 
 def test_json_format(worked_file, capsys):

@@ -2,6 +2,8 @@ from itertools import combinations
 
 import pytest
 
+import vmkit.euler as euler
+
 from vmkit import (
     Dow,
     EulerianTour,
@@ -22,7 +24,7 @@ from vmkit import (
     tour_from_word,
 )
 
-from corpus_helpers import all_four_regular_multigraphs, complete_graph
+from corpus_helpers import all_four_regular_multigraphs, complete_graph, prism
 
 X0 = Dow.from_text("adcbaebced")
 FX0 = multigraph_from_word(X0)
@@ -230,6 +232,28 @@ def test_budgeted_iso_soet_decide_is_worker_independent():
             iso_soet_decide(K4X, 8, budget=50, workers=workers)
         assert str(e.value) == "69 subset searches exhausted the budget"
         assert e.value.count == 69
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_quick_no_survivors_are_searched(workers, monkeypatch):
+    search = euler.soet_search
+
+    def survivors_only(F, subset, **kwargs):
+        assert not euler._soet_quick_no(F, frozenset(subset)), sorted(subset)
+        return search(F, subset, **kwargs)
+
+    monkeypatch.setattr(euler, "soet_search", survivors_only)
+    # quick-no rejects every 13-subset of the prism's expansion
+    assert iso_soet_decide(k3_expand(prism()), 13, deterministic=True,
+                           workers=workers) is None
+    subset, cert = iso_soet_decide(k3_expand(complete_graph("abcd")), 8,
+                                   deterministic=True, workers=workers)
+    assert subset == frozenset(("a^(b)", "a^(c)", "b^(a)", "b^(d)",
+                                "c^(a)", "c^(d)", "d^(b)", "d^(c)"))
+    assert cert.visit_word == ("a^(b)", "b^(a)", "b^(d)", "d^(b)",
+                               "d^(c)", "c^(d)", "c^(a)", "a^(c)")
+    assert cert.tour.edge_seq == (0, 12, 3, 5, 20, 9, 10, 22, 7, 14, 2, 16,
+                                  17, 1, 13, 4, 21, 11, 23, 8, 18, 19, 6, 15)
 
 
 def test_deep_tour_walks_raise_resource_limit():

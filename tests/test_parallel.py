@@ -1,5 +1,7 @@
 """The subset scan that the subset deciders share."""
 
+import multiprocessing
+import os
 from functools import partial
 
 import pytest
@@ -20,6 +22,11 @@ def _fake(yes, open_, boom, subset):
     if item in open_:
         raise ResourceLimitError("fake budget ran out", count=7)
     return f"payload {item}" if item in yes else None
+
+
+def _log_pid(path, subset):
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -48,3 +55,27 @@ def test_open_subsets_without_a_yes_are_counted(workers):
 def test_no_yes_and_nothing_open_is_no(workers):
     assert scan_subsets(partial(_fake, set(), set(), set()), ITEMS, workers) is None
     assert scan_subsets(partial(_fake, set(), set(), set()), [], workers) is None
+
+
+@pytest.mark.parametrize("yes, open_, boom, raises", [
+    ({40}, set(), set(), None),
+    (set(), set(), set(), None),
+    (set(), OPEN, set(), ResourceLimitError),
+    (set(), set(), {20}, ValueError),
+])
+def test_no_worker_outlives_a_scan(yes, open_, boom, raises):
+    task = partial(_fake, yes, open_, boom)
+    if raises is None:
+        scan_subsets(task, ITEMS, 2)
+    else:
+        with pytest.raises(raises):
+            scan_subsets(task, ITEMS, 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_scan_forks_once(tmp_path):
+    log = tmp_path / "pids"
+    assert scan_subsets(partial(_log_pid, log), ITEMS, 2) is None
+    pids = log.read_text().split()
+    assert len(pids) == len(ITEMS)
+    assert len(set(pids)) <= 2

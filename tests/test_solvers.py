@@ -15,6 +15,7 @@ from vmkit import (
     hamiltonian_decide,
     induced_word,
     iso_vm_decide,
+    k3_expand,
     labeled_vm_decide,
     multigraph_from_word,
     star_vm_decide,
@@ -243,6 +244,39 @@ def test_deterministic_mode_is_worker_independent():
     one = iso_vm_decide(C5, K3, deterministic=True, workers=1)
     two = iso_vm_decide(C5, K3, deterministic=True, workers=2)
     assert one == two
+
+
+def _circle_of_k4_expansion():
+    return alternance_graph(induced_word(find_euler_tour(k3_expand(K4))))
+
+
+# a witness depends on which orbit member a leaf matches first, so these
+# guard the order of the orbit buckets in both modes and at both worker counts
+ISO_PINS = [
+    (lambda: C5, K3, frozenset("abc"),
+     (("DEL", "d"), ("DEL", "e"), ("LC", "b")),
+     (("a", "y"), ("b", "x"), ("c", "z"))),
+    (worked_graph, K4, frozenset("abcd"),
+     (("DEL", "e"), ("LC", "a")),
+     (("a", "a"), ("b", "b"), ("c", "c"), ("d", "d"))),
+    (_circle_of_k4_expansion, cycle_graph("vwxyz"),
+     frozenset(("a^(b)", "a^(c)", "a^(d)", "b^(c)", "b^(d)")),
+     (("DEL", "b^(a)"), ("DEL", "c^(a)"), ("DEL", "c^(b)"), ("DEL", "c^(d)"),
+      ("DEL", "d^(a)"), ("DEL", "d^(b)"), ("DEL", "d^(c)"),
+      ("LC", "b^(c)"), ("LC", "a^(b)")),
+     (("a^(b)", "v"), ("a^(c)", "z"), ("a^(d)", "y"), ("b^(c)", "w"),
+      ("b^(d)", "x"))),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("deterministic", [False, True])
+@pytest.mark.parametrize("make_g, H, subset, ops, iso", ISO_PINS)
+def test_iso_decide_witnesses_are_pinned(make_g, H, subset, ops, iso,
+                                         deterministic, workers):
+    d = iso_vm_decide(make_g(), H, deterministic=deterministic, workers=workers)
+    detail = f"V' = {{{' '.join(sorted(subset))}}}"
+    assert d == Decision("yes", (subset, VmWitness(ops, iso)), detail)
 
 
 def test_oracle_matches_labeled_elimination():
