@@ -356,7 +356,7 @@ def _add_common(sub, solver=False):
         sub.add_argument("--budget", type=int, default=None,
                          help="search step cap (default: VMKIT_BUDGET)")
         sub.add_argument("--deterministic", action="store_true",
-                         help="least witness, byte-stable across worker counts")
+                         help="least SOET class; vertex-minor witnesses are always least")
         sub.add_argument("--workers", type=int, default=1)
 
 

@@ -314,9 +314,16 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
     took a loop, left prev without unused edges, or else when cur still
     reaches prev over unused edges.  `budget` caps the number of extension
     steps; exceeding it raises ResourceLimitError, leaving the question
-    open, and so does a tour too long for the recursive walk.  With
-    deterministic=True the whole anchored tree is walked and the certificate
-    built on the least accepting tour class; otherwise the first hit wins.
+    open, and so does a tour too long for the recursive walk.
+
+    The walk tries edges in ascending id order, so its first hit is the
+    least SOET in lexicographic order of edge_seq among those leaving its
+    anchor.  Reversing a tour keeps it a SOET and moves it to the other end
+    of edge 0, so with deterministic=True a hit is followed by a second walk
+    anchored there, and the certificate is built on the lesser canonical
+    tour of the two hits: the least SOET class.  The budget caps the steps
+    of both walks together.  Otherwise a Hierholzer tour is tried first and
+    the first hit wins.
     """
     Vp = frozenset(vertex_subset)
     if not Vp:
@@ -328,18 +335,13 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
         raise ValueError("SOET search needs a 4-regular multigraph")
     _check_eulerian_preconditions(F)
     k = len(Vp)
+    if _soet_quick_no(F, Vp):
+        return None
     if not deterministic:
-        if k == 1:
-            U = find_euler_tour(F)
-            return SoetCertificate(U, Vp, is_soet(U, Vp))
-        if _soet_quick_no(F, Vp):
-            return None
         U0 = find_euler_tour(F)
         s0 = is_soet(U0, Vp)
         if s0 is not None:
             return SoetCertificate(U0, Vp, s0)
-    elif k >= 2 and _soet_quick_no(F, Vp):
-        return None
 
     req = None
     if k >= 3:
@@ -351,15 +353,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
     # (edge id, far end) pairs at each vertex, edge ids ascending
     nbrs = {v: [(e, ends[e][1] if ends[e][0] == v else ends[e][0])
                 for e in F.incident(v)] for v in F.vertices}
-    anchor = ends[0][0]
-    used = [False] * L
-    free = {v: 4 for v in F.vertices}  # unused edge ends at each vertex
-    vseq = [anchor]
-    eseq = []
-    visits = []
-    firstseen = set()
     nodes = 0
-    best = None  # least (class key, certificate) pair in deterministic mode
 
     def reaches(cur, targets, blocked):
         # can cur reach a target over unused edges without passing `blocked`
@@ -405,18 +399,11 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
         return visits[pos - k] == nxt
 
     def walk(cur):
-        nonlocal nodes, best
+        nonlocal nodes
         if len(eseq) == L:
             if cur != anchor:
                 return None
-            tour = EulerianTour(F, tuple(vseq[:-1]), tuple(eseq))
-            cert = SoetCertificate(tour, Vp, tuple(visits[:k]))
-            if not deterministic:
-                return cert
-            key = _class_key(tour.vertex_seq, tour.edge_seq)
-            if best is None or key < best[0]:
-                best = (key, cert)
-            return None
+            return EulerianTour(F, tuple(vseq[:-1]), tuple(eseq))
         for eid, nxt in nbrs[cur][:1] if not eseq else nbrs[cur]:
             if used[eid]:
                 continue
@@ -452,17 +439,26 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
             used[eid] = False
         return None
 
-    try:
-        res = walk(anchor)
-    except RecursionError:
-        raise ResourceLimitError(
-            f"SOET search too deep to recurse over {L} edges", count=nodes
-        ) from None
-    if not deterministic:
-        return res
-    if best is None:
-        return None
-    U = canonical_tour(best[1].tour)
+    hits = []
+    for anchor in dict.fromkeys(ends[0][:2 if deterministic else 1]):
+        used = [False] * L
+        free = {v: 4 for v in F.vertices}  # unused edge ends at each vertex
+        vseq = [anchor]
+        eseq = []
+        visits = []
+        firstseen = set()
+        try:
+            U = walk(anchor)
+        except RecursionError:
+            raise ResourceLimitError(
+                f"SOET search too deep to recurse over {L} edges", count=nodes
+            ) from None
+        if U is None:
+            return None  # the walk exhausted every tour from its anchor
+        if not deterministic:
+            return SoetCertificate(U, Vp, tuple(visits[:k]))
+        hits.append(canonical_tour(U))
+    U = min(hits, key=lambda U: (U.edge_seq, U.vertex_seq))
     return SoetCertificate(U, Vp, is_soet(U, Vp))
 
 

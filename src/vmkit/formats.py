@@ -20,7 +20,7 @@ from .reduction import (
     require_cubic,
 )
 from .solvers import VmWitness
-from .words import Dow, canonicalize
+from .words import Dow, DowClass
 
 
 def _fail(line_no, col, msg):
@@ -132,7 +132,7 @@ def parse_word(text: str) -> Dow:
 
 def serialize_word(w: Dow) -> str:
     """Canonical class representative, space-separated."""
-    return " ".join(canonicalize(w).canonical.letters) + "\n"
+    return " ".join(DowClass(w).canonical.letters) + "\n"
 
 
 def parse_tour(text: str, F: MultiGraph) -> EulerianTour:

@@ -49,10 +49,11 @@ def scan_subsets(task, subsets, workers):
     task(subset) returns a payload or None, or raises ResourceLimitError when
     its budget runs out.  subsets may be any iterable; it is read one block
     at a time.  Blocks of 16 subsets per worker go through pmap in order, so
-    the outcome does not depend on the worker count.  None means every subset
-    said no; if some ran out instead, ResourceLimitError is raised with their
-    number as its count.  A pool that cannot be forked raises
-    WorkerStartError.
+    the outcome does not depend on the worker count; a scan without a pool
+    runs them one by one in this process, none after the first YES.  None
+    means every subset said no; if some ran out instead, ResourceLimitError
+    is raised with their number as its count.  A pool that cannot be forked
+    raises WorkerStartError.
     """
     global _POOL
     subsets = iter(subsets)
@@ -65,7 +66,8 @@ def scan_subsets(task, subsets, workers):
         _POOL = pool
         try:
             while block:
-                for subset, res in zip(block, pmap(settle, block, workers=workers)):
+                results = map(settle, block) if pool is None else pmap(settle, block, workers)
+                for subset, res in zip(block, results):
                     if isinstance(res, ResourceLimitError):
                         unknown += 1
                     elif res is not None:

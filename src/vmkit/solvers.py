@@ -179,12 +179,15 @@ class _ElimSearch:
 
     Graph states are tuples of neighbor bitmasks restricted to the alive
     vertices, so identical states reached along different prefixes share one
-    failure verdict through the memo.  In deterministic mode the whole tree
-    is walked and the least ops sequence among accepting leaves is kept; in
-    fast mode the first accepting leaf wins.
+    failure verdict through the memo.  The options at each victim v come as
+    nothing, LC v, then the pivot, each followed by ("DEL", v); since "DEL"
+    sorts before "LC", leaves are reached in lexicographic order of their
+    ops sequences, and the first accepting leaf carries the least one.  The
+    walk recurses once per victim; a victim order too long for the
+    interpreter's recursion limit raises ResourceLimitError.
     """
 
-    def __init__(self, G, keep, budget=None, deterministic=False, connected_target=True):
+    def __init__(self, G, keep, budget=None, connected_target=True):
         self.labels = G.vertices
         index = {v: i for i, v in enumerate(self.labels)}
         n = len(self.labels)
@@ -198,17 +201,22 @@ class _ElimSearch:
             self.wmask |= 1 << index[v]
         self.victims = [i for i in range(n) if not (self.wmask >> i) & 1]
         self.budget = budget
-        self.deterministic = deterministic
         self.connected_target = connected_target
         self.accept = None  # rows -> None | (extra ops tuple, payload)
         self.nodes = 0
 
     def run(self):
-        self.best = None
+        """The least accepting (ops, payload), or None."""
         self.memo = set()
         alive = (1 << len(self.labels)) - 1
-        res = self._walk(self.rows0, alive, 0, [])
-        return self.best if self.deterministic else res
+        try:
+            return self._walk(self.rows0, alive, 0, [])
+        except RecursionError:
+            raise ResourceLimitError(
+                f"elimination search too deep to recurse over "
+                f"{len(self.victims)} victims",
+                count=self.nodes,
+            ) from None
 
     def _together(self, rows):
         # the kept vertices must share a component; complementation never
@@ -239,29 +247,21 @@ class _ElimSearch:
             yield [("LC", lv), ("LC", lu), ("LC", lv)], piv
 
     def _walk(self, rows, alive, p, prefix):
-        # fast mode returns the first (ops, payload); deterministic mode
-        # returns whether the subtree accepted anywhere and tracks the best
         if self.connected_target and self.wmask and not self._together(rows):
-            return None if not self.deterministic else False
+            return None
         if p == len(self.victims):
             got = self.accept(rows)
             if got is None:
-                return None if not self.deterministic else False
+                return None
             extra, payload = got
-            cand = (tuple(prefix) + tuple(extra), payload)
-            if not self.deterministic:
-                return cand
-            if self.best is None or cand[0] < self.best[0]:
-                self.best = cand
-            return True
+            return tuple(prefix) + tuple(extra), payload
         key = (alive, rows)
         if key in self.memo:
-            return None if not self.deterministic else False
+            return None
         v = self.victims[p]
         vb = 1 << v
         others = ~vb
         label = self.labels[v]
-        accepted = False
         for ops, nrows in self._options(rows, v):
             self.nodes += 1
             if self.budget is not None and self.nodes > self.budget:
@@ -272,13 +272,10 @@ class _ElimSearch:
             drows = [r & others for r in nrows]
             drows[v] = 0
             res = self._walk(tuple(drows), alive & others, p + 1, prefix + ops + [("DEL", label)])
-            if self.deterministic:
-                accepted = accepted or res
-            elif res is not None:
+            if res is not None:
                 return res
-        if not accepted:
-            self.memo.add(key)
-        return None if not self.deterministic else accepted
+        self.memo.add(key)
+        return None
 
 
 def _make_star_accept(wmask, labels, k):
@@ -300,8 +297,8 @@ def _make_star_accept(wmask, labels, k):
     return accept
 
 
-def _star_task(G, H, budget, deterministic, subset):
-    eng = _ElimSearch(G, subset, budget=budget, deterministic=deterministic)
+def _star_task(G, H, budget, subset):
+    eng = _ElimSearch(G, subset, budget=budget)
     eng.accept = _make_star_accept(eng.wmask, eng.labels, len(H.vertices))
     res = eng.run()
     if res is None:
@@ -340,7 +337,9 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
     Acceptance at the leaves is classification of the survivor as a star or
     a complete graph, which for k >= 3 is exactly membership in the local
     complementation orbit of the star.  Subsets are scanned in lexicographic
-    order and the first accepting one is reported.
+    order and the first accepting one is reported, with the least accepting
+    ops sequence of its elimination search.  That witness is the same in
+    both modes; deterministic is kept for symmetry with iso_soet_decide.
     """
     n = len(G.vertices)
     if not 1 <= k <= n:
@@ -351,7 +350,7 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
         ops = tuple(("DEL", u) for u in G.vertices if u != v)
         w = _require_verified(G, H, VmWitness(ops, ((v, H.vertices[0]),)))
         return Decision("yes", (frozenset((v,)), w), "single vertex")
-    task = partial(_star_task, G, H, budget, deterministic)
+    task = partial(_star_task, G, H, budget)
     return _decide_subsets(G, H, task, workers)
 
 
@@ -405,8 +404,8 @@ def _make_iso_accept(wmask, labels, hvertices, buckets):
     return accept
 
 
-def _iso_task(G, H, buckets, budget, deterministic, subset):
-    eng = _ElimSearch(G, subset, budget=budget, deterministic=deterministic,
+def _iso_task(G, H, buckets, budget, subset):
+    eng = _ElimSearch(G, subset, budget=budget,
                       connected_target=len(connected_components(H)) == 1)
     eng.accept = _make_iso_accept(eng.wmask, eng.labels, H.vertices, buckets)
     return eng.run()
@@ -421,6 +420,8 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
     of H, computed once up front.  That is equivalent to S's own orbit
     meeting the isomorphism class of H, because orbits are equivalence
     classes.  If the orbit of H overflows orbit_cap the decision is UNKNOWN.
+    Like star_vm_decide, both modes report the first accepting subset with
+    the least accepting ops sequence.
     """
     if not H.vertices:
         raise ValueError("H must have at least one vertex")
@@ -430,7 +431,7 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
         buckets = _orbit_buckets(H, orbit_cap)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
-    task = partial(_iso_task, G, H, buckets, budget, deterministic)
+    task = partial(_iso_task, G, H, buckets, budget)
     return _decide_subsets(G, H, task, workers,
                            within_component=len(connected_components(H)) == 1)
 

@@ -92,10 +92,6 @@ class DowClass:
         return f"DowClass({self.canonical.to_text()!r})"
 
 
-def canonicalize(X: Dow) -> DowClass:
-    return DowClass(X)
-
-
 def alternances(X: Dow):
     """Set of unordered alternating pairs of X.
 

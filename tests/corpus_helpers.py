@@ -2,7 +2,7 @@
 
 from itertools import combinations, permutations
 
-from vmkit import Dow, MultiGraph, SimpleGraph, canonicalize, connected_components
+from vmkit import Dow, DowClass, MultiGraph, SimpleGraph, connected_components
 
 
 def worked_graph():
@@ -73,7 +73,7 @@ def all_dow_classes(n):
     def build(positions, assignment):
         if not positions:
             w = Dow(tuple(assignment[i] for i in range(2 * n)))
-            key = canonicalize(w).canonical.letters
+            key = DowClass(w).canonical.letters
             if key not in seen:
                 seen.add(key)
                 out.append(w)

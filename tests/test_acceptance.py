@@ -14,10 +14,10 @@ import pytest
 
 from vmkit import (
     Dow,
+    DowClass,
     SimpleGraph,
     alternance_graph,
     alternances,
-    canonicalize,
     delete_vertex,
     enumerate_hamiltonian_cycles,
     extract_ham_from_soet,
@@ -131,7 +131,7 @@ def emit_c3(outdir, workers):
                 )
                 checks += 1
     elapsed = time.perf_counter() - t0
-    reps = sorted("".join(canonicalize(w).canonical.letters) for w in classes)
+    reps = sorted("".join(DowClass(w).canonical.letters) for w in classes)
     text = f"classes {len(classes)}\nchecks {checks}\n" + "\n".join(reps) + "\n"
     (outdir / "c3.txt").write_text(text)
     return elapsed, (len(classes), checks)

@@ -181,10 +181,10 @@ def test_soet_search_step_counts():
     no = frozenset(f"{u}^({v})" for u, v in ("ab", "ac", "ba", "bc", "ca", "cd", "db", "dc"))
     for F, Vp, deterministic, steps, answer in (
         (FX0, frozenset("abcd"), False, 16, True),
-        (FX0, frozenset("abcd"), True, 160, True),
+        (FX0, frozenset("abcd"), True, 30, True),
         (FX0, frozenset("abce"), True, 0, False),  # rejected before any step
         (K4X, yes, False, 4533, True),
-        (K4X, yes, True, 29937, True),
+        (K4X, yes, True, 9066, True),
         (K4X, no, True, 3063, False),
     ):
         found = soet_search(F, Vp, budget=steps, deterministic=deterministic)

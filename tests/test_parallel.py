@@ -42,6 +42,12 @@ def test_scan_stops_at_the_block_of_the_first_yes(workers):
     assert scan_subsets(task, ITEMS, workers) == (frozenset({5}), "payload 5")
 
 
+def test_one_worker_stops_at_the_first_yes():
+    # item 6 shares the first block with the YES at item 5
+    task = partial(_fake, {5}, OPEN, {6})
+    assert scan_subsets(task, ITEMS, 1) == (frozenset({5}), "payload 5")
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_open_subsets_without_a_yes_are_counted(workers):
     task = partial(_fake, set(), OPEN, set())

@@ -1,5 +1,7 @@
 """Decider tests: witness replay, closure agreement, determinism, budgets."""
 
+from itertools import combinations
+
 import pytest
 
 from vmkit import (
@@ -9,6 +11,8 @@ from vmkit import (
     SimpleGraph,
     VmWitness,
     alternance_graph,
+    classify_star_or_complete,
+    delete_vertex,
     enumerate_hamiltonian_cycles,
     find_euler_tour,
     find_isomorphism,
@@ -17,6 +21,8 @@ from vmkit import (
     iso_vm_decide,
     k3_expand,
     labeled_vm_decide,
+    lc_word_between,
+    local_complement,
     multigraph_from_word,
     star_vm_decide,
     verify_vm_witness,
@@ -25,6 +31,7 @@ from vmkit import (
 )
 
 from corpus_helpers import (
+    all_four_regular_multigraphs,
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
@@ -300,3 +307,94 @@ def test_oracle_limit_and_bad_target():
     assert vm_oracle_via_tours(F, star_graph("abcd"), limit=1).is_unknown
     with pytest.raises(ValueError):
         vm_oracle_via_tours(F, SimpleGraph("z", []))
+
+
+def _elimination_leaves(G, keep):
+    """Every leaf (ops, survivor) of the elimination tree over keep.
+
+    The whole tree, with no memo, no pruning and no early return: at each
+    victim v in label order, nothing, LC v, or the pivot on v with its least
+    neighbor, then DEL v.  The oracle for the elimination search's order.
+    """
+    victims = [v for v in G.vertices if v not in keep]
+    leaves = []
+
+    def walk(S, i, ops):
+        if i == len(victims):
+            leaves.append((ops, S))
+            return
+        v = victims[i]
+        options = [((), S)]
+        if S.degree(v) >= 2:
+            options.append(((("LC", v),), local_complement(S, v)))
+        if S.degree(v):
+            u = min(S.neighbors(v))
+            piv = local_complement(local_complement(local_complement(S, v), u), v)
+            options.append(((("LC", v), ("LC", u), ("LC", v)), piv))
+        for o, T in options:
+            walk(delete_vertex(T, v), i + 1, ops + o + (("DEL", v),))
+
+    walk(G, 0, ())
+    return leaves
+
+
+def _least_accepting(leaves, finish):
+    """The least ops + finish(S) over the leaves S that finish accepts."""
+    found = [ops + extra for ops, S in leaves if (extra := finish(S)) is not None]
+    return min(found, default=None)
+
+
+def _finish_star(S):
+    kind, _ = classify_star_or_complete(S)
+    if kind == "complete" and len(S.vertices) >= 3:
+        return (("LC", S.vertices[0]),)
+    return () if kind != "neither" else None
+
+
+def _finish_labeled(H):
+    def finish(S):
+        word = lc_word_between(H, S)
+        return None if word is None else tuple(("LC", x) for x in reversed(word))
+
+    return finish
+
+
+def _corpus_circle_graphs():
+    for n in range(1, 6):
+        for F in all_four_regular_multigraphs(n):
+            yield alternance_graph(induced_word(find_euler_tour(F)))
+
+
+def test_witnesses_are_the_least_of_the_whole_tree():
+    # both modes share one search, so the fast mode's witnesses are least too
+    stars = labeled = 0
+    for G in _corpus_circle_graphs():
+        n = len(G.vertices)
+        trees = {W: _elimination_leaves(G, W)
+                 for k in range(2, n + 1) for W in combinations(G.vertices, k)}
+        for k in range(2, n + 1):
+            want = None
+            for W in combinations(G.vertices, k):
+                ops = _least_accepting(trees[W], _finish_star)
+                if ops is not None:
+                    want = (frozenset(W), ops)
+                    break
+            d = star_vm_decide(G, k)
+            got = None if d.is_no else (d.witness[0], d.witness[1].ops)
+            assert got == want, (G, k)
+            stars += 1
+        for k in (2, 3):
+            for W in combinations(G.vertices, k):
+                for H in all_labeled_graphs(W):
+                    want = _least_accepting(trees[W], _finish_labeled(H))
+                    d = labeled_vm_decide(G, H)
+                    assert (None if d.is_no else d.witness.ops) == want, (G, H)
+                    labeled += 1
+    assert (stars, labeled) == (152, 3300)
+
+
+def test_deep_elimination_is_unknown():
+    P = path_graph([f"v{i:04d}" for i in range(1200)])
+    d = labeled_vm_decide(P, path_graph(["v0000", "v0001"]))
+    assert d == Decision(
+        "unknown", None, "elimination search too deep to recurse over 1198 victims")

@@ -2,10 +2,10 @@ import pytest
 
 from vmkit import (
     Dow,
+    DowClass,
     SimpleGraph,
     alternance_graph,
     alternances,
-    canonicalize,
     induced_subword,
     local_complement,
     delete_vertex,
@@ -53,12 +53,12 @@ def test_alternance_invariance_under_rotation_and_mirror():
 
 def test_canonicalize_is_class_invariant():
     w = X0
-    cls = canonicalize(w)
+    cls = DowClass(w)
     for r in range(len(w.letters)):
         rot = Dow(w.letters[r:] + w.letters[:r])
-        assert canonicalize(rot) == cls
-        assert canonicalize(mirror(rot)) == cls
-    assert canonicalize(Dow.from_text("abab")) != canonicalize(Dow.from_text("aabb"))
+        assert DowClass(rot) == cls
+        assert DowClass(mirror(rot)) == cls
+    assert DowClass(Dow.from_text("abab")) != DowClass(Dow.from_text("aabb"))
 
 
 def test_word_local_complement_matches_graph_op():
