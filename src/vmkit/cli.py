@@ -103,6 +103,8 @@ def _budget(args):
 
 def _check_solver_args(args):
     """Range checks argparse cannot express, made before any decider runs."""
+    if getattr(args, "limit", 1) < 1:
+        raise _UsageError(f"argument --limit: must be positive, got {args.limit}")
     if not hasattr(args, "workers"):
         return
     cpus = os.cpu_count() or 1
@@ -227,7 +229,7 @@ def cmd_vm_solve(args):
         budget=_budget(args),
         deterministic=args.deterministic,
         workers=args.workers,
-        orbit_cap=args.limit or DEFAULT_NODE_CAP,
+        orbit_cap=args.limit,
     )
     if dec.is_yes:
         subset, w = dec.witness
@@ -285,7 +287,7 @@ def cmd_ham(args):
 def cmd_orbit(args):
     G = _simple(args.graph)
     try:
-        orbit = lc_orbit(G, args.limit or DEFAULT_NODE_CAP)
+        orbit = lc_orbit(G, args.limit)
     except ResourceLimitError as e:
         _emit(args, None, "unknown", str(e))
         return 2
@@ -390,7 +392,7 @@ def build_parser():
     s = sp.add_parser("vm-solve", help="vertex-minor isomorphic to a target")
     s.add_argument("graph")
     s.add_argument("target")
-    s.add_argument("--limit", type=int, default=None, help="orbit state cap")
+    s.add_argument("--limit", type=int, default=DEFAULT_NODE_CAP, help="orbit state cap")
     _add_common(s, solver=True)
 
     s = sp.add_parser("vm-solve-star", help="star vertex-minor on k vertices")
@@ -411,7 +413,7 @@ def build_parser():
 
     s = sp.add_parser("orbit", help="local complementation orbit of a graph")
     s.add_argument("graph")
-    s.add_argument("--limit", type=int, default=None, help="orbit state cap")
+    s.add_argument("--limit", type=int, default=DEFAULT_NODE_CAP, help="orbit state cap")
     _add_common(s)
 
     s = sp.add_parser("pipeline", help="full reduction chain with bundles and certs")

@@ -112,7 +112,7 @@ def serialize_graph(G) -> str:
     if multi:
         edges = list(G.edges)
     else:
-        edges = sorted(tuple(sorted(e)) for e in G.edges)
+        edges = G.sorted_edges()
     covered = {x for e in edges for x in e}
     if covered != set(G.vertices):
         out.append("vertices " + " ".join(G.vertices))

@@ -1,89 +1,138 @@
 """Labeled simple graphs and multigraphs with a deterministic vertex order.
 
-Vertex labels are non-empty strings ordered lexicographically.  Simple graphs
-are immutable and hashable; multigraphs carry dense integer edge ids assigned
-in input order, and those ids are identity-bearing (tours reference them).
+Vertex labels are non-empty strings ordered lexicographically.  Simple
+graphs are immutable and hashable; adjacency bitmask rows are their one
+representation, and labels and label-pair edges their public face.
+Multigraphs carry dense integer edge ids assigned in input order, and those
+ids are identity-bearing (tours reference them).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 def _check_labels(vertices):
     seen = set()
-    out = []
     for v in vertices:
         if not isinstance(v, str) or not v:
             raise ValueError(f"vertex label must be a non-empty string, got {v!r}")
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
+        seen.add(v)
     return seen
 
 
+def _bits(m):
+    """Positions of the set bits of m, ascending."""
+    while m:
+        b = m & -m
+        m ^= b
+        yield b.bit_length() - 1
+
+
+@lru_cache(maxsize=1024)
+def _index_of(vertices):
+    """{label: position} for a sorted vertex tuple, shared by its graphs."""
+    return {v: i for i, v in enumerate(vertices)}
+
+
+def _reach(rows, seed, goal=-1):
+    """Mask of the vertices joined to the seed mask, or less once goal is in it."""
+    comp = frontier = seed
+    while frontier and goal & ~comp:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= rows[b.bit_length() - 1]
+        frontier = nxt & ~comp
+        comp |= frontier
+    return comp
+
+
 class SimpleGraph:
-    """Finite labeled simple graph (no loops, no parallel edges)."""
+    """Finite labeled simple graph (no loops, no parallel edges).
+
+    The state is the sorted vertex tuple and its rows: rows[i] is the
+    neighbour mask of vertices[i], bit j standing for vertices[j].  edges,
+    the frozenset of sorted label pairs, is derived on first use.
+    """
+
+    __slots__ = ("vertices", "rows", "_index", "_edges")
 
     def __init__(self, vertices, edges=()):
-        vset = _check_labels(vertices)
-        self.vertices = tuple(sorted(vset))
-        self._vset = frozenset(vset)
-        es = set()
+        vs = tuple(sorted(_check_labels(vertices)))
+        index = _index_of(vs)
+        rows = [0] * len(vs)
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at {u!r} not allowed in a simple graph")
-            if u not in vset:
-                raise ValueError(f"edge endpoint {u!r} is not a vertex")
-            if v not in vset:
-                raise ValueError(f"edge endpoint {v!r} is not a vertex")
-            es.add((u, v) if u < v else (v, u))
-        self.edges = frozenset(es)
-        self._adj = None
+            i = index.get(u)
+            j = index.get(v)
+            if i is None or j is None or i == j:
+                if u == v:
+                    raise ValueError(f"loop at {u!r} not allowed in a simple graph")
+                bad = u if i is None else v
+                raise ValueError(f"edge endpoint {bad!r} is not a vertex")
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        self.vertices, self.rows, self._index, self._edges = vs, tuple(rows), index, None
 
-    def _adjacency(self):
-        if self._adj is None:
-            adj = {v: set() for v in self.vertices}
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = {v: frozenset(ns) for v, ns in adj.items()}
-        return self._adj
+    @classmethod
+    def _from_rows(cls, vertices, rows):
+        """The graph on the sorted vertex tuple with these rows, unchecked."""
+        G = cls.__new__(cls)
+        G.__setstate__((vertices, rows))
+        return G
+
+    def _pos(self, v):
+        i = self._index.get(v)
+        if i is None:
+            raise ValueError(f"no vertex {v!r}")
+        return i
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            self._edges = frozenset(self.sorted_edges())
+        return self._edges
 
     def has_vertex(self, v):
-        return v in self._vset
+        return v in self._index
 
     def neighbors(self, v):
-        if v not in self._vset:
-            raise ValueError(f"no vertex {v!r}")
-        return self._adjacency()[v]
+        vs = self.vertices
+        return frozenset(vs[j] for j in _bits(self.rows[self._pos(v)]))
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        return self.rows[self._pos(v)].bit_count()
 
     def has_edge(self, u, v):
-        key = (u, v) if u < v else (v, u)
-        return key in self.edges
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and bool(self.rows[i] >> j & 1)
 
     def sorted_edges(self):
-        return tuple(sorted(self.edges))
+        vs = self.vertices
+        return tuple(
+            (vs[i], vs[j]) for i, r in enumerate(self.rows) for j in _bits(r >> i << i)
+        )
 
     def __eq__(self, other):
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self.rows))
 
     def __repr__(self):
         es = " ".join(f"{u}-{v}" for u, v in self.sorted_edges())
         return f"SimpleGraph[{' '.join(self.vertices)}; {es}]"
 
     def __getstate__(self):
-        return (self.vertices, tuple(sorted(self.edges)))
+        return (self.vertices, self.rows)
 
     def __setstate__(self, state):
-        vs, es = state
-        self.__init__(vs, es)
+        self.vertices, self.rows = state
+        self._index = _index_of(self.vertices)
+        self._edges = None
 
 
 class MultiGraph:
@@ -167,11 +216,17 @@ class MultiGraph:
 
 def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
     """Subgraph of G induced on the vertex set W."""
-    W = set(W)
-    missing = sorted(W - set(G.vertices))
+    W = sorted(set(W))
+    missing = [w for w in W if not G.has_vertex(w)]
     if missing:
         raise ValueError(f"not a vertex of the graph: {missing[0]!r}")
-    return SimpleGraph(W, (e for e in G.edges if e[0] in W and e[1] in W))
+    return SimpleGraph._from_rows(tuple(W), _restrict(G.rows, [G._index[w] for w in W]))
+
+
+def _restrict(rows, keep):
+    """Rows of the subgraph induced on the ascending positions keep."""
+    new = {p: 1 << a for a, p in enumerate(keep)}
+    return tuple(sum(new.get(j, 0) for j in _bits(rows[p])) for p in keep)
 
 
 def is_regular(F, d: int) -> bool:
@@ -207,56 +262,47 @@ def connected_components(F):
     Works for SimpleGraph and MultiGraph alike; returns a tuple of frozensets
     ordered by least member.
     """
-    if isinstance(F, SimpleGraph):
-        adj = {v: F.neighbors(v) for v in F.vertices}
-    else:
-        adj = {v: set() for v in F.vertices}
-        for u, v in F.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-    return adjacency_components(adj)
+    G = F if isinstance(F, SimpleGraph) else F.simple_support()
+    comps = []
+    left = (1 << len(G.vertices)) - 1
+    while left:
+        comp = _reach(G.rows, left & -left)
+        comps.append(frozenset(G.vertices[i] for i in _bits(comp)))
+        left &= ~comp
+    return tuple(comps)
 
 
 def find_isomorphism(G: SimpleGraph, H: SimpleGraph):
     """Edge-preserving bijection from V(G) to V(H), or None.
 
-    Plain backtracking with degree pruning.  Among all isomorphisms this
-    returns the one whose image sequence over G's sorted vertices is
-    lexicographically least, so repeated runs are reproducible and
-    find_isomorphism(G, G) is the least automorphism.
+    Backtracking over the rows with degree pruning, without recursion.
+    Among all isomorphisms this returns the one whose image sequence over
+    G's sorted vertices is lexicographically least, so repeated runs are
+    reproducible and find_isomorphism(G, G) is the least automorphism.
     """
-    gs, hs = G.vertices, H.vertices
-    if len(gs) != len(hs) or len(G.edges) != len(H.edges):
+    gr, hr = G.rows, H.rows
+    n = len(gr)
+    gdeg = [r.bit_count() for r in gr]
+    hdeg = [r.bit_count() for r in hr]
+    if len(hr) != n or sorted(gdeg) != sorted(hdeg):
         return None
-    gdeg = sorted(G.degree(v) for v in gs)
-    hdeg = sorted(H.degree(v) for v in hs)
-    if gdeg != hdeg:
-        return None
+    img, levels = [], []  # img[i]: the H position of G position i
 
-    mapping = {}
-    used = set()
+    def images():
+        # for the next position i: unused H positions of i's degree that
+        # are adjacent to exactly the images of i's earlier neighbours
+        i = len(img)
+        used = sum(1 << h for h in img)
+        want = sum(1 << img[p] for p in _bits(gr[i] & ((1 << i) - 1)))
+        return iter([h for h in range(n) if hdeg[h] == gdeg[i]
+                     and not used >> h & 1 and hr[h] & used == want])
 
-    def place(i):
-        if i == len(gs):
-            return True
-        g = gs[i]
-        dg = G.degree(g)
-        for h in hs:
-            if h in used or H.degree(h) != dg:
-                continue
-            ok = True
-            for prev in gs[:i]:
-                if G.has_edge(g, prev) != H.has_edge(h, mapping[prev]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[g] = h
-            used.add(h)
-            if place(i + 1):
-                return True
-            del mapping[g]
-            used.discard(h)
-        return False
-
-    return dict(mapping) if place(0) else None
+    while len(img) < n:
+        levels.append(images())
+        while (h := next(levels[-1], None)) is None:
+            levels.pop()  # no image left at this level: backtrack
+            if not levels:
+                return None
+            img.pop()
+        img.append(h)
+    return {g: H.vertices[h] for g, h in zip(G.vertices, img)}

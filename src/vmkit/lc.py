@@ -6,25 +6,27 @@ complementations at arbitrary vertices is always finite and is explored by
 plain breadth-first search with a state cap.
 """
 
-from itertools import combinations
-
 from .errors import ResourceLimitError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _restrict
 
 DEFAULT_NODE_CAP = 1_000_000
 
 
+def _lc_rows(rows, v):
+    """Rows after local complementation at position v."""
+    m = rows[v]
+    out = list(rows)
+    rest = m
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        out[b.bit_length() - 1] ^= m ^ b
+    return tuple(out)
+
+
 def local_complement(G: SimpleGraph, v: str) -> SimpleGraph:
     """Complement the edges among the neighbors of v."""
-    nv = sorted(G.neighbors(v))
-    edges = set(G.edges)
-    for a, b in combinations(nv, 2):
-        e = (a, b)
-        if e in edges:
-            edges.discard(e)
-        else:
-            edges.add(e)
-    return SimpleGraph(G.vertices, edges)
+    return SimpleGraph._from_rows(G.vertices, _lc_rows(G.rows, G._pos(v)))
 
 
 def apply_lc_word(G: SimpleGraph, word) -> SimpleGraph:
@@ -37,10 +39,9 @@ def apply_lc_word(G: SimpleGraph, word) -> SimpleGraph:
 
 
 def delete_vertex(G: SimpleGraph, v: str) -> SimpleGraph:
-    if not G.has_vertex(v):
-        raise ValueError(f"no vertex {v!r}")
-    rest = [u for u in G.vertices if u != v]
-    return SimpleGraph(rest, (e for e in G.edges if v not in e))
+    i = G._pos(v)
+    rest = [j for j in range(len(G.rows)) if j != i]
+    return SimpleGraph._from_rows(G.vertices[:i] + G.vertices[i + 1 :], _restrict(G.rows, rest))
 
 
 def pivot(G: SimpleGraph, u: str, v: str) -> SimpleGraph:
@@ -57,25 +58,24 @@ def pivot(G: SimpleGraph, u: str, v: str) -> SimpleGraph:
 def _orbit_words(G, node_cap, stop_at=None):
     """BFS over the LC orbit.
 
-    Returns {edge frozenset: word reaching it}.  If stop_at (an edge
-    frozenset) is given the search returns early once it is found.
+    Returns {rows of an orbit member: word reaching it}.  If stop_at (such
+    rows) is given the search returns early once it is found.
     """
     if node_cap <= 0:
         raise ValueError("node_cap must be positive")
-    start = G.edges
+    start = G.rows
     words = {start: ()}
     queue = [start]
     while queue:
         if stop_at is not None and stop_at in words:
             return words
         nxt = []
-        for edges in queue:
-            cur = SimpleGraph(G.vertices, edges)
-            w = words[edges]
-            for v in G.vertices:
-                if len(cur.neighbors(v)) < 2:
+        for rows in queue:
+            w = words[rows]
+            for i, v in enumerate(G.vertices):
+                if rows[i].bit_count() < 2:
                     continue  # tau_v is the identity there
-                img = local_complement(cur, v).edges
+                img = _lc_rows(rows, i)
                 if img not in words:
                     if len(words) >= node_cap:
                         raise ResourceLimitError(
@@ -91,23 +91,20 @@ def _orbit_words(G, node_cap, stop_at=None):
 def lc_orbit(G: SimpleGraph, node_cap: int = DEFAULT_NODE_CAP):
     """All graphs LC-equivalent to G, as a set of SimpleGraph."""
     words = _orbit_words(G, node_cap)
-    return {SimpleGraph(G.vertices, e) for e in words}
+    return {SimpleGraph._from_rows(G.vertices, rows) for rows in words}
 
 
 def lc_equivalent(G: SimpleGraph, H: SimpleGraph, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Whether H lies in the LC orbit of G.  Vertex sets must agree."""
-    if G.vertices != H.vertices:
-        raise ValueError("lc_equivalent needs identical vertex sets")
-    words = _orbit_words(G, node_cap, stop_at=H.edges)
-    return H.edges in words
+    return lc_word_between(G, H, node_cap) is not None
 
 
 def lc_word_between(G: SimpleGraph, H: SimpleGraph, node_cap: int = DEFAULT_NODE_CAP):
     """An LC word w with apply_lc_word(G, w) == H, or None."""
     if G.vertices != H.vertices:
-        raise ValueError("lc_word_between needs identical vertex sets")
-    words = _orbit_words(G, node_cap, stop_at=H.edges)
-    return words.get(H.edges)
+        raise ValueError("LC-equivalence needs identical vertex sets")
+    words = _orbit_words(G, node_cap, stop_at=H.rows)
+    return words.get(H.rows)
 
 
 def classify_star_or_complete(G: SimpleGraph):

@@ -23,9 +23,10 @@ from itertools import combinations
 
 from .errors import ResourceLimitError
 from .euler import canonical_tour, enumerate_euler_tours, find_euler_tour, induced_word
-from .graphs import SimpleGraph, connected_components, find_isomorphism
+from .graphs import SimpleGraph, _bits, _reach, _restrict, connected_components, find_isomorphism
 from .lc import (
     DEFAULT_NODE_CAP,
+    _lc_rows,
     _orbit_words,
     delete_vertex,
     lc_word_between,
@@ -103,11 +104,7 @@ def verify_vm_witness(G: SimpleGraph, H: SimpleGraph, w: VmWitness) -> bool:
         return False
     if sorted(m.values()) != list(H.vertices):
         return False
-    for i, u in enumerate(cur.vertices):
-        for v in cur.vertices[i + 1 :]:
-            if cur.has_edge(u, v) != H.has_edge(m[u], m[v]):
-                return False
-    return True
+    return SimpleGraph(H.vertices, [(m[u], m[v]) for u, v in cur.sorted_edges()]) == H
 
 
 def _require_verified(G, H, w):
@@ -147,38 +144,29 @@ def enumerate_hamiltonian_cycles(R: SimpleGraph):
 
 
 def hamiltonian_decide(R: SimpleGraph) -> Decision:
-    """Exact Hamiltonicity for connected cubic graphs, least cycle on YES."""
+    """Exact Hamiltonicity for connected cubic graphs, least cycle on YES.
+
+    The search recurses once per path vertex; a graph too large for the
+    interpreter's recursion limit raises ResourceLimitError.
+    """
     require_cubic(R)
     if len(connected_components(R)) > 1:
         raise ValueError("the cubic graph must be connected")
-    for cyc in enumerate_hamiltonian_cycles(R):
-        return Decision("yes", cyc, "least Hamiltonian cycle")
+    try:
+        for cyc in enumerate_hamiltonian_cycles(R):
+            return Decision("yes", cyc, "least Hamiltonian cycle")
+    except RecursionError:
+        raise ResourceLimitError(
+            f"Hamiltonian cycle search too deep to recurse over {len(R.vertices)} vertices"
+        ) from None
     return Decision("no", None, "exhausted all vertex orders")
-
-
-def _bits(m):
-    while m:
-        b = m & -m
-        m ^= b
-        yield b.bit_length() - 1
-
-
-def _bit_lc(rows, v):
-    m = rows[v]
-    out = list(rows)
-    rest = m
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        out[b.bit_length() - 1] ^= m ^ b
-    return tuple(out)
 
 
 class _ElimSearch:
     """Three-option elimination over a fixed victim order.
 
-    Graph states are tuples of neighbor bitmasks restricted to the alive
-    vertices, so identical states reached along different prefixes share one
+    Graph states are G's adjacency rows with the deleted vertices masked
+    out, so identical states reached along different prefixes share one
     failure verdict through the memo.  The options at each victim v come as
     nothing, LC v, then the pivot, each followed by ("DEL", v); since "DEL"
     sorts before "LC", leaves are reached in lexicographic order of their
@@ -189,17 +177,9 @@ class _ElimSearch:
 
     def __init__(self, G, keep, budget=None, connected_target=True):
         self.labels = G.vertices
-        index = {v: i for i, v in enumerate(self.labels)}
-        n = len(self.labels)
-        rows = [0] * n
-        for u, v in G.edges:
-            rows[index[u]] |= 1 << index[v]
-            rows[index[v]] |= 1 << index[u]
-        self.rows0 = tuple(rows)
-        self.wmask = 0
-        for v in keep:
-            self.wmask |= 1 << index[v]
-        self.victims = [i for i in range(n) if not (self.wmask >> i) & 1]
+        self.rows0 = G.rows
+        self.wmask = sum(1 << G._index[v] for v in set(keep))
+        self.victims = [i for i in range(len(G.rows)) if not (self.wmask >> i) & 1]
         self.budget = budget
         self.connected_target = connected_target
         self.accept = None  # rows -> None | (extra ops tuple, payload)
@@ -218,36 +198,22 @@ class _ElimSearch:
                 count=self.nodes,
             ) from None
 
-    def _together(self, rows):
-        # the kept vertices must share a component; complementation never
-        # splits or merges components and deletion never merges them
-        want = self.wmask
-        comp = frontier = want & -want
-        while want & ~comp:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= rows[b.bit_length() - 1]
-            frontier = nxt & ~comp
-            if not frontier:
-                return False
-            comp |= frontier
-        return True
-
     def _options(self, rows, v):
         yield [], rows
         nb = rows[v]
         if nb.bit_count() >= 2:
-            yield [("LC", self.labels[v])], _bit_lc(rows, v)
+            yield [("LC", self.labels[v])], _lc_rows(rows, v)
         if nb:
             u = (nb & -nb).bit_length() - 1
-            piv = _bit_lc(_bit_lc(_bit_lc(rows, v), u), v)
+            piv = _lc_rows(_lc_rows(_lc_rows(rows, v), u), v)
             lv, lu = self.labels[v], self.labels[u]
             yield [("LC", lv), ("LC", lu), ("LC", lv)], piv
 
     def _walk(self, rows, alive, p, prefix):
-        if self.connected_target and self.wmask and not self._together(rows):
+        # the kept vertices must share a component; complementation never
+        # splits or merges components and deletion never merges them
+        want = self.wmask
+        if self.connected_target and want and want & ~_reach(rows, want & -want, want):
             return None
         if p == len(self.victims):
             got = self.accept(rows)
@@ -355,23 +321,21 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
 
 
 def _orbit_buckets(H, cap):
-    """H's LC orbit as {sorted degree sequence: [(edge set, word), ...]}.
+    """H's LC orbit as {sorted degree sequence: [(rows, word), ...]}.
 
     Each member comes with the LC word reaching it from H; within a bucket
     the members keep the orbit's breadth-first order.
     """
     buckets = {}
-    for edges, word in _orbit_words(H, cap).items():
-        M = SimpleGraph(H.vertices, edges)
-        degrees = tuple(sorted(M.degree(v) for v in M.vertices))
-        buckets.setdefault(degrees, []).append((edges, word))
+    for rows, word in _orbit_words(H, cap).items():
+        degrees = tuple(sorted(r.bit_count() for r in rows))
+        buckets.setdefault(degrees, []).append((rows, word))
     return buckets
 
 
 def _make_iso_accept(wmask, labels, hvertices, buckets):
     wbits = list(_bits(wmask))
     wlabels = tuple(labels[i] for i in wbits)
-    members = {}  # orbit member graphs, each built on first use
     cache = {}
 
     def accept(rows):
@@ -383,14 +347,10 @@ def _make_iso_accept(wmask, labels, hvertices, buckets):
         key = tuple(rows[i] for i in wbits)
         if key in cache:
             return cache[key]
-        edges = [(labels[i], labels[j]) for i in wbits for j in _bits(rows[i]) if j > i]
-        S = SimpleGraph(wlabels, edges)
+        S = SimpleGraph._from_rows(wlabels, _restrict(rows, wbits))
         res = None
-        for medges, word in bucket:
-            M = members.get(medges)
-            if M is None:
-                M = members[medges] = SimpleGraph(hvertices, medges)
-            psi = find_isomorphism(S, M)
+        for mrows, word in bucket:
+            psi = find_isomorphism(S, SimpleGraph._from_rows(hvertices, mrows))
             if psi is None:
                 continue
             # undo the word that led from H to M, transported through psi
@@ -440,28 +400,23 @@ def labeled_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None,
                       orbit_cap=DEFAULT_NODE_CAP) -> Decision:
     """Is H, labels and all, reachable from G by complementations and deletions?
 
-    The subset is fixed to V(H); a survivor is accepted exactly when it lies
-    in the orbit of H, looked up in a precomputed edge-set table.  This is
-    the labeled primitive the isomorphic deciders are cross-checked against.
+    The subset is fixed to V(H); a survivor is accepted exactly when its
+    rows are those of a member of H's orbit, computed on V(G) with the
+    vertices outside V(H) isolated.  This is the labeled primitive the
+    isomorphic deciders are cross-checked against.
     """
     missing = sorted(set(H.vertices) - set(G.vertices))
     if missing:
         raise ValueError(f"H vertex {missing[0]!r} is not a vertex of G")
     try:
-        words = _orbit_words(H, orbit_cap)
+        words = _orbit_words(SimpleGraph(G.vertices, H.sorted_edges()), orbit_cap)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
     eng = _ElimSearch(G, H.vertices, budget=budget,
                       connected_target=len(connected_components(H)) == 1)
 
     def accept(rows):
-        edges = []
-        for i in _bits(eng.wmask):
-            for j in _bits(rows[i]):
-                if j > i:
-                    edges.append((eng.labels[i], eng.labels[j]))
-        S = SimpleGraph(H.vertices, edges)
-        word = words.get(S.edges)
+        word = words.get(rows)
         if word is None:
             return None
         return tuple(("LC", x) for x in reversed(word)), None

@@ -9,7 +9,7 @@ word.  Local complementation, vertex deletion, and induced subgraphs all have
 word-level counterparts that commute with the alternance map.
 """
 
-from .graphs import MultiGraph, SimpleGraph
+from .graphs import MultiGraph, SimpleGraph, _index_of
 
 
 class Dow:
@@ -99,23 +99,29 @@ def alternances(X: Dow):
     between the two occurrences of u.  The criterion is symmetric in u and v
     and invariant under rotation and mirror of the word.
     """
-    pos = {}
-    for i, x in enumerate(X.letters):
-        pos.setdefault(x, []).append(i)
-    out = set()
-    letters = sorted(pos)
-    for i, u in enumerate(letters):
-        p1, p2 = pos[u]
-        for v in letters[i + 1:]:
-            between = sum(1 for q in pos[v] if p1 < q < p2)
-            if between == 1:
-                out.add(frozenset((u, v)))
-    return out
+    return {frozenset(e) for e in alternance_graph(X).sorted_edges()}
 
 
 def alternance_graph(X: Dow) -> SimpleGraph:
-    """The circle graph of X: vertices V(X), edges the alternances."""
-    return SimpleGraph(X.vertex_set(), [tuple(sorted(p)) for p in alternances(X)])
+    """The circle graph of X: vertices V(X), edges the alternances.
+
+    The letters met once between the two occurrences of u are the bits of
+    the parity mask (letters seen an odd number of times) that changed
+    between them, u's own aside.
+    """
+    vertices = tuple(sorted(X.vertex_set()))
+    index = _index_of(vertices)
+    rows = [0] * len(vertices)
+    opened = [None] * len(vertices)
+    parity = 0
+    for x in X.letters:
+        i = index[x]
+        if opened[i] is None:
+            opened[i] = parity
+        else:
+            rows[i] = (parity ^ opened[i]) & ~(1 << i)
+        parity ^= 1 << i
+    return SimpleGraph._from_rows(vertices, tuple(rows))
 
 
 def _occurrences(X, v):

@@ -4,11 +4,15 @@ import errno
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
+import vmkit
 from vmkit import (
     Dow,
+    SimpleGraph,
     multigraph_from_word,
     parse_bundle,
     parse_graph,
@@ -151,9 +155,30 @@ def test_workers_and_budget_ranges(worked_file, f0_file, monkeypatch, capsys):
         assert "argument --workers: must be between 1 and" in capsys.readouterr().err
     assert run_command(["vm-solve", worked_file, worked_file, "--budget", "-1"]) == 64
     assert "argument --budget: must not be negative" in capsys.readouterr().err
+    for n in (0, -1):
+        assert run_command(["orbit", worked_file, "--limit", str(n)]) == 64
+        assert run_command(["vm-solve", worked_file, worked_file, "--limit", str(n)]) == 64
+        assert capsys.readouterr().err.count("argument --limit: must be positive") == 2
     monkeypatch.setenv("VMKIT_BUDGET", "-1")
     assert run_command(["vm-solve-star", worked_file, "4"]) == 65
     assert "VMKIT_BUDGET must not be negative" in capsys.readouterr().err
+
+
+def test_large_cubic_graph_is_unsettled(files, tmp_path):
+    # a 600-cycle times K2: its Hamiltonian cycle search would recurse over
+    # 1,200 vertices, past the interpreter's recursion limit
+    n = 600
+    rims = [(f"{s}{i:03d}", f"{s}{(i + 1) % n:03d}") for s in "ab" for i in range(n)]
+    spokes = [(f"a{i:03d}", f"b{i:03d}") for i in range(n)]
+    prism = SimpleGraph({u for u, _ in rims}, rims + spokes)
+    path = files("prism1200.graph", serialize_graph(prism))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vmkit.__file__)))
+    for argv in (["ham", path], ["pipeline", path, "-o", str(tmp_path / "out")]):
+        proc = subprocess.run([sys.executable, "-m", "vmkit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "unsettled: " in proc.stderr and "1200 vertices" in proc.stderr
 
 
 def test_usage_and_validation_errors(files, worked_file, f0_file, capsys):

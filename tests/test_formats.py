@@ -1,6 +1,9 @@
 """Text format tests: byte-exact fixtures, round trips, error positions."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmkit import (
     Dow,
@@ -215,3 +218,20 @@ def test_bundle_chain_replay_and_tamper():
 
     with pytest.raises(ValueError, match="empty bundle chain"):
         verify_bundle_chain([])
+
+
+@st.composite
+def simple_graphs(draw, max_vertices=8):
+    # single-character labels take the compact edge form, longer ones the
+    # spaced form; isolated vertices need the vertices line
+    labels = sorted(draw(st.sets(st.text("abxyz019_", min_size=1, max_size=3),
+                                 max_size=max_vertices)))
+    pairs = list(combinations(labels, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return SimpleGraph(labels, [p for p, k in zip(pairs, keep) if k])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(simple_graphs())
+def test_graph_parse_inverts_serialize(G):
+    assert parse_graph(serialize_graph(G)) == G

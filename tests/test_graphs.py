@@ -1,4 +1,5 @@
 import pickle
+from itertools import combinations, permutations
 
 import pytest
 
@@ -6,9 +7,11 @@ from vmkit import (
     MultiGraph,
     SimpleGraph,
     connected_components,
+    delete_vertex,
     find_isomorphism,
     induced_subgraph,
     is_regular,
+    local_complement,
 )
 from corpus_helpers import complete_graph, cycle_graph, path_graph, petersen, star_graph
 
@@ -98,3 +101,68 @@ def test_find_isomorphism_basics():
 def test_find_isomorphism_identity_is_least():
     G = cycle_graph("abcd")
     assert find_isomorphism(G, G) == {v: v for v in G.vertices}
+
+
+# Plain edge-set reference for the row kernel: sorted label pairs in a set.
+
+
+def _ref_neighbors(edges, v):
+    return {a for e in edges if v in e for a in e} - {v}
+
+
+def _ref_lc(edges, v):
+    out = set(edges)
+    out ^= set(combinations(sorted(_ref_neighbors(edges, v)), 2))
+    return out
+
+
+def _ref_delete(edges, v):
+    return {e for e in edges if v not in e}
+
+
+def _agrees(G, vertices, edges):
+    assert G.vertices == tuple(sorted(vertices))
+    assert G.edges == edges and G.sorted_edges() == tuple(sorted(edges))
+    for v in vertices:
+        nb = _ref_neighbors(edges, v)
+        assert G.neighbors(v) == nb and G.degree(v) == len(nb)
+        for u in vertices:
+            assert G.has_edge(u, v) == ((u, v) in edges or (v, u) in edges)
+
+
+def test_row_kernel_matches_edge_sets():
+    # every labeled graph on 1 to 5 vertices, every vertex; labels given
+    # out of order so that rows follow the sorted labels, not the input
+    for n in range(1, 6):
+        labels = ("v2", "a", "v10", "b1", "b")[:n]
+        pairs = [tuple(sorted(p)) for p in combinations(labels, 2)]
+        for m in range(1 << len(pairs)):
+            edges = {p for i, p in enumerate(pairs) if m >> i & 1}
+            G = SimpleGraph(labels, edges)
+            _agrees(G, labels, edges)
+            for v in labels:
+                _agrees(local_complement(G, v), labels, _ref_lc(edges, v))
+                rest = [u for u in labels if u != v]
+                _agrees(delete_vertex(G, v), rest, _ref_delete(edges, v))
+
+
+def test_find_isomorphism_is_the_least_bijection():
+    # all ordered pairs of labeled graphs on 4 vertices against a brute
+    # force over the 24 bijections in lexicographic order of their images
+    gl, hl = "abcd", "wxyz"
+    gpairs, hpairs = list(combinations(gl, 2)), list(combinations(hl, 2))
+    graphs = []
+    for m in range(1 << 6):
+        ge = {frozenset(p) for i, p in enumerate(gpairs) if m >> i & 1}
+        he = {frozenset(p) for i, p in enumerate(hpairs) if m >> i & 1}
+        graphs.append((SimpleGraph(gl, ge), ge, SimpleGraph(hl, he), he))
+    images = list(permutations(hl))
+    for G, ge, _, _ in graphs:
+        for _, _, H, he in graphs:
+            want = None
+            for img in images:
+                f = dict(zip(gl, img))
+                if {frozenset((f[u], f[v])) for u, v in ge} == he:
+                    want = f
+                    break
+            assert find_isomorphism(G, H) == want

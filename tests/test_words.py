@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmkit import (
     Dow,
@@ -105,3 +106,35 @@ def test_word_ops_reject_missing_letter():
         word_local_complement(X0, "z")
     with pytest.raises(ValueError):
         word_delete(X0, "z")
+
+
+# derandomized and without an example database: the same examples every run
+# and no .hypothesis/ directory in the checkout
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def dows(draw, max_letters=10):
+    letters = "abcdefghij"[: draw(st.integers(0, max_letters))]
+    return Dow(draw(st.permutations(list(letters) * 2)))
+
+
+def _alternate(X, u, v):
+    p1, p2 = [i for i, x in enumerate(X.letters) if x == u]
+    return [X.letters[i] for i in range(p1 + 1, p2)].count(v) == 1
+
+
+@PROPERTY
+@given(dows(), st.data())
+def test_word_operations_commute_with_alternance_graph(X, data):
+    letters = sorted(X.vertex_set())
+    G = alternance_graph(X)
+    assert G.edges == {(u, v) for u in letters for v in letters
+                       if u < v and _alternate(X, u, v)}
+    if letters:
+        v = data.draw(st.sampled_from(letters))
+        assert alternance_graph(word_local_complement(X, v)) == local_complement(G, v)
+        assert alternance_graph(word_delete(X, v)) == delete_vertex(G, v)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
+    W = {v for v, k in zip(letters, keep) if k}
+    assert alternance_graph(induced_subword(X, W)) == induced_subgraph(G, W)
