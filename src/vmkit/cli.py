@@ -163,13 +163,7 @@ def cmd_alternance(args):
 def cmd_soet_solve(args):
     F = _multi(args.multigraph)
     try:
-        found = iso_soet_decide(
-            F,
-            args.k,
-            budget=_budget(args),
-            deterministic=args.deterministic,
-            workers=args.workers,
-        )
+        found = iso_soet_decide(F, args.k, budget=_budget(args), workers=args.workers)
     except ResourceLimitError as e:
         _emit(args, None, "unknown", str(e))
         return 2
@@ -223,14 +217,8 @@ def cmd_soet_verify(args):
 def cmd_vm_solve(args):
     G = _simple(args.graph)
     H = _simple(args.target)
-    dec = iso_vm_decide(
-        G,
-        H,
-        budget=_budget(args),
-        deterministic=args.deterministic,
-        workers=args.workers,
-        orbit_cap=args.limit,
-    )
+    dec = iso_vm_decide(G, H, budget=_budget(args), workers=args.workers,
+                        orbit_cap=args.limit)
     if dec.is_yes:
         subset, w = dec.witness
         _emit(args, serialize_witness(w), "yes", dec.detail,
@@ -242,13 +230,7 @@ def cmd_vm_solve(args):
 
 def cmd_vm_solve_star(args):
     G = _simple(args.graph)
-    dec = star_vm_decide(
-        G,
-        args.k,
-        budget=_budget(args),
-        deterministic=args.deterministic,
-        workers=args.workers,
-    )
+    dec = star_vm_decide(G, args.k, budget=_budget(args), workers=args.workers)
     _, H = reduce_starvm_to_isovm(G, args.k)
     if args.target:
         _write(args.target, serialize_graph(H))
@@ -357,8 +339,6 @@ def _add_common(sub, solver=False):
     if solver:
         sub.add_argument("--budget", type=int, default=None,
                          help="search step cap (default: VMKIT_BUDGET)")
-        sub.add_argument("--deterministic", action="store_true",
-                         help="least SOET class; vertex-minor witnesses are always least")
         sub.add_argument("--workers", type=int, default=1)
 
 

@@ -19,7 +19,7 @@ from functools import partial
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .graphs import MultiGraph, adjacency_components, connected_components, is_regular
+from .graphs import MultiGraph, _reach, connected_components, is_regular
 from .parallel import scan_subsets
 from .words import Dow
 
@@ -92,7 +92,7 @@ def _check_eulerian_preconditions(F: MultiGraph):
 
 
 def find_euler_tour(F: MultiGraph) -> EulerianTour:
-    """A deterministic Eulerian tour, by Hierholzer's splicing method.
+    """An Eulerian tour, by Hierholzer's splicing method.
 
     Closed walks always leave along the least unused edge id and get spliced
     into the tour at the earliest revisitable position, so the result depends
@@ -265,17 +265,13 @@ class SoetCertificate:
 
 
 def _soet_support(F, Vp):
-    """Distinct neighbors inside V' of each V' vertex, loops reported apart."""
+    """Distinct neighbors inside V' of each V' vertex, loops left out."""
     adj = {v: set() for v in Vp}
-    loops = set()
     for a, b in F.edges:
-        if a == b:
-            if a in Vp:
-                loops.add(a)
-        elif a in Vp and b in Vp:
+        if a != b and a in Vp and b in Vp:
             adj[a].add(b)
             adj[b].add(a)
-    return adj, loops
+    return adj
 
 
 def _soet_quick_no(F, Vp):
@@ -290,40 +286,57 @@ def _soet_quick_no(F, Vp):
     k = len(Vp)
     if k < 2:
         return False
-    adj, loops = _soet_support(F, Vp)
-    if loops:
-        return True
+    pos = {v: i for i, v in enumerate(Vp)}
+    rows = [0] * k  # the support of F[V'] over the positions of V'
+    for a, b in F.edges:
+        i = pos.get(a)
+        j = pos.get(b)
+        if i is None or j is None:
+            continue
+        if i == j:
+            return True  # a loop inside V'
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     if k < 3:
         return False
-    if any(len(ns) > 2 for ns in adj.values()):
-        return True
-    for comp in adjacency_components(adj):
-        if len(comp) < k and all(len(adj[x]) == 2 for x in comp):
+    deg2 = 0  # the positions with two neighbours inside V'
+    for i, r in enumerate(rows):
+        d = r.bit_count()
+        if d > 2:
+            return True
+        if d == 2:
+            deg2 |= 1 << i
+    full = (1 << k) - 1
+    left = deg2
+    while left:
+        comp = _reach(rows, left & -left)
+        if comp != full and not comp & ~deg2:
             return True  # a cycle through fewer than all of V'
+        left &= ~comp
     return False
 
 
-def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
-    """Find a SOET of F over the given subset, or None when none exists.
+def soet_search(F: MultiGraph, vertex_subset, budget=None):
+    """A SOET of F over the given subset, or None when none exists.
 
     F must be connected and 4-regular.  The search walks anchored tours
-    (edge 0 first, from its lesser endpoint) and prunes on the visit-word
-    constraints, on Fleury's bridge rule, and on reachability of the next
-    forced visit.  Every unused edge is reachable from the current vertex
-    before each step, so a step prev -> cur strands no edge exactly when it
-    took a loop, left prev without unused edges, or else when cur still
-    reaches prev over unused edges.  `budget` caps the number of extension
-    steps; exceeding it raises ResourceLimitError, leaving the question
-    open, and so does a tour too long for the recursive walk.
+    (edge 0 first) and prunes on the visit-word constraints, on Fleury's
+    bridge rule, and on reachability of the next forced visit.  Every unused
+    edge is reachable from the current vertex before each step, so a step
+    prev -> cur strands no edge exactly when it took a loop, left prev
+    without unused edges, or else when cur still reaches prev over unused
+    edges.
 
     The walk tries edges in ascending id order, so its first hit is the
     least SOET in lexicographic order of edge_seq among those leaving its
-    anchor.  Reversing a tour keeps it a SOET and moves it to the other end
-    of edge 0, so with deterministic=True a hit is followed by a second walk
-    anchored there, and the certificate is built on the lesser canonical
-    tour of the two hits: the least SOET class.  The budget caps the steps
-    of both walks together.  Otherwise a Hierholzer tour is tried first and
-    the first hit wins.
+    anchor, the lesser endpoint of edge 0.  Reversing a tour keeps it a SOET
+    and moves it to the other end of edge 0, so a hit is followed by a
+    second walk anchored there (none when edge 0 is a loop), and the
+    certificate is built on the lesser canonical tour of the two hits: the
+    least SOET class, the same on every call.  `budget` caps the extension
+    steps of both walks together; exceeding it raises ResourceLimitError,
+    leaving the question open, and so does a tour too long for the
+    recursive walk.
     """
     Vp = frozenset(vertex_subset)
     if not Vp:
@@ -337,16 +350,10 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
     k = len(Vp)
     if _soet_quick_no(F, Vp):
         return None
-    if not deterministic:
-        U0 = find_euler_tour(F)
-        s0 = is_soet(U0, Vp)
-        if s0 is not None:
-            return SoetCertificate(U0, Vp, s0)
 
     req = None
     if k >= 3:
-        adj, _ = _soet_support(F, Vp)
-        req = {v: frozenset(ns) for v, ns in adj.items()}
+        req = {v: frozenset(ns) for v, ns in _soet_support(F, Vp).items()}
 
     L = F.n_edges
     ends = F.edges
@@ -440,7 +447,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
         return None
 
     hits = []
-    for anchor in dict.fromkeys(ends[0][:2 if deterministic else 1]):
+    for anchor in dict.fromkeys(ends[0]):
         used = [False] * L
         free = {v: 4 for v in F.vertices}  # unused edge ends at each vertex
         vseq = [anchor]
@@ -455,8 +462,6 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None, deterministic=False):
             ) from None
         if U is None:
             return None  # the walk exhausted every tour from its anchor
-        if not deterministic:
-            return SoetCertificate(U, Vp, tuple(visits[:k]))
         hits.append(canonical_tour(U))
     U = min(hits, key=lambda U: (U.edge_seq, U.vertex_seq))
     return SoetCertificate(U, Vp, is_soet(U, Vp))
@@ -509,20 +514,22 @@ def maximal_subwords(U: EulerianTour, vertex_subset, u, v):
     return gaps[j], gaps[(j + k) % m]
 
 
-def _soet_subset_task(F, budget, deterministic, subset):
-    return soet_search(F, subset, budget=budget, deterministic=deterministic)
+def _soet_subset_task(F, budget, subset):
+    return soet_search(F, subset, budget=budget)
 
 
 def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, workers=1):
     """Does some k-subset of V(F) admit a SOET?
 
     Returns (subset, SoetCertificate) for the lexicographically first subset
-    that admits one, scanning subsets in lexicographic order; None when all
-    subsets are exhausted without a hit.  When a budget is given and some
-    subset search dies on it while no other subset says yes, the outcome is
-    unsettled and ResourceLimitError is raised.  The answer does not depend
-    on the worker count.  Subsets that _soet_quick_no rejects are answered
-    in this process and never reach the scan.
+    that admits one, scanning subsets in lexicographic order, with the least
+    SOET class of that subset; None when all subsets are exhausted without a
+    hit.  When a budget is given and some subset search dies on it while no
+    other subset says yes, the outcome is unsettled and ResourceLimitError
+    is raised.  Every answer is canonical and does not depend on the worker
+    count; `deterministic` is accepted and ignored.  Subsets that
+    _soet_quick_no rejects are answered in this process and never reach the
+    scan.
     """
     if not is_regular(F, 4):
         raise ValueError("ISO-SOET needs a 4-regular multigraph")
@@ -530,7 +537,7 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     n = len(F.vertices)
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and {n}")
-    task = partial(_soet_subset_task, F, budget, deterministic)
+    task = partial(_soet_subset_task, F, budget)
     survivors = (s for s in combinations(F.vertices, k)
                  if not _soet_quick_no(F, frozenset(s)))
     return scan_subsets(task, survivors, workers)

@@ -1,4 +1,4 @@
-"""Labeled simple graphs and multigraphs with a deterministic vertex order.
+"""Labeled simple graphs and multigraphs with a fixed vertex order.
 
 Vertex labels are non-empty strings ordered lexicographically.  Simple
 graphs are immutable and hashable; adjacency bitmask rows are their one
@@ -232,28 +232,6 @@ def _restrict(rows, keep):
 def is_regular(F, d: int) -> bool:
     """True when every vertex has degree exactly d (loops count twice)."""
     return all(F.degree(v) == d for v in F.vertices)
-
-
-def adjacency_components(adj):
-    """Connected components of the graph given as {vertex: neighbours}.
-
-    Returns a tuple of frozensets ordered by least member.
-    """
-    comps = []
-    left = set(adj)
-    while left:
-        start = min(left)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    frontier.append(y)
-        left -= comp
-        comps.append(frozenset(comp))
-    return tuple(comps)
 
 
 def connected_components(F):

@@ -176,7 +176,7 @@ def reduce_cubham_to_isosoet(R: SimpleGraph):
 def reduce_isosoet_to_starvm(F: MultiGraph, k: int):
     """Map an ISO-SOET instance to star vertex-minor search on a circle graph.
 
-    Any Eulerian tour serves; the deterministic one is used.  F allows a SOET
+    Any Eulerian tour serves; find_euler_tour's is used.  F allows a SOET
     over some k-subset exactly when the tour's alternance graph has a star on
     k vertices as a vertex-minor.
     """

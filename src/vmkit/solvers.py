@@ -22,7 +22,7 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .euler import canonical_tour, enumerate_euler_tours, find_euler_tour, induced_word
+from .euler import enumerate_euler_tours, find_euler_tour, induced_word
 from .graphs import SimpleGraph, _bits, _reach, _restrict, connected_components, find_isomorphism
 from .lc import (
     DEFAULT_NODE_CAP,
@@ -304,8 +304,8 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
     a complete graph, which for k >= 3 is exactly membership in the local
     complementation orbit of the star.  Subsets are scanned in lexicographic
     order and the first accepting one is reported, with the least accepting
-    ops sequence of its elimination search.  That witness is the same in
-    both modes; deterministic is kept for symmetry with iso_soet_decide.
+    ops sequence of its elimination search, so every answer is canonical;
+    `deterministic` is accepted and ignored.
     """
     n = len(G.vertices)
     if not 1 <= k <= n:
@@ -380,8 +380,8 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
     of H, computed once up front.  That is equivalent to S's own orbit
     meeting the isomorphism class of H, because orbits are equivalence
     classes.  If the orbit of H overflows orbit_cap the decision is UNKNOWN.
-    Like star_vm_decide, both modes report the first accepting subset with
-    the least accepting ops sequence.
+    Like star_vm_decide it reports the first accepting subset with the least
+    accepting ops sequence; `deterministic` is accepted and ignored.
     """
     if not H.vertices:
         raise ValueError("H must have at least one vertex")
@@ -463,11 +463,12 @@ def vertex_minor_closure(G: SimpleGraph, node_cap: int = DEFAULT_NODE_CAP):
 
 
 @lru_cache(maxsize=32)
-def _tour_words(F):
-    """All Eulerian tour classes of F as (canonical tour, induced word)."""
-    return tuple(
-        (canonical_tour(U), induced_word(U)) for U in enumerate_euler_tours(F)
-    )
+def _tour_words(F, limit):
+    """The induced words of F's Eulerian tour classes, in discovery order.
+
+    More than `limit` classes raise ResourceLimitError, which is not cached.
+    """
+    return tuple(induced_word(U) for U in enumerate_euler_tours(F, limit))
 
 
 def vm_oracle_via_tours(F, H: SimpleGraph, limit=None) -> Decision:
@@ -475,26 +476,21 @@ def vm_oracle_via_tours(F, H: SimpleGraph, limit=None) -> Decision:
 
     Scans Eulerian tour classes of F for one whose induced sub-word over
     V(H) has alternance graph exactly H.  Independent of the elimination
-    machinery; the YES witness is assembled against the deterministic tour's
-    alternance graph and checked like any other.  Tour classes are cached
-    per multigraph so repeated targets on one F cost one enumeration.
+    machinery; the YES witness is assembled against the alternance graph of
+    find_euler_tour's tour and checked like any other.  Tour classes are cached
+    per multigraph and limit, so repeated targets on one F cost one
+    enumeration; more than `limit` classes make the answer UNKNOWN.
     """
     want = set(H.vertices)
     missing = sorted(want - set(F.vertices))
     if missing:
         raise ValueError(f"H vertex {missing[0]!r} is not a vertex of F")
     G0 = alternance_graph(induced_word(find_euler_tour(F)))
-    if limit is None:
-        classes = _tour_words(F)
-    else:
-        try:
-            classes = [
-                (canonical_tour(U), induced_word(U))
-                for U in enumerate_euler_tours(F, limit=limit)
-            ]
-        except ResourceLimitError as e:
-            return Decision("unknown", None, str(e))
-    for U, word in classes:
+    try:
+        words = _tour_words(F, limit)
+    except ResourceLimitError as e:
+        return Decision("unknown", None, str(e))
+    for word in words:
         if alternance_graph(induced_subword(word, want)) != H:
             continue
         lcw = lc_word_between(G0, alternance_graph(word))
@@ -505,5 +501,5 @@ def vm_oracle_via_tours(F, H: SimpleGraph, limit=None) -> Decision:
         )
         w = VmWitness(ops, tuple((v, v) for v in sorted(want)))
         _require_verified(G0, H, w)
-        return Decision("yes", w, f"tour {induced_word(U).to_text()}")
+        return Decision("yes", w, f"tour {word.to_text()}")
     return Decision("no", None, "all tour classes enumerated")

@@ -1,14 +1,15 @@
 """Acceptance gate: the ten criteria, each timed against its stated limit.
 
-Every criterion emits its artifacts to a per-session directory in
-deterministic mode with one worker; criterion 10 reruns the first eight
-with two workers and demands byte-identical files.
+Every criterion emits its artifacts to a per-session directory with one
+worker; criterion 10 reruns the first eight with two workers and demands
+byte-identical files, and their digests must match artifact_digests.txt.
 """
 
 import hashlib
 import random
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -168,8 +169,8 @@ def emit_c5(outdir, workers):
     for i, F in enumerate(corpus):
         G = alternance_graph(induced_word(find_euler_tour(F)))
         for k in range(1, min(5, len(F.vertices)) + 1):
-            found = iso_soet_decide(F, k, deterministic=True, workers=workers)
-            d = star_vm_decide(G, k, deterministic=True, workers=workers)
+            found = iso_soet_decide(F, k, workers=workers)
+            d = star_vm_decide(G, k, workers=workers)
             assert (found is not None) == d.is_yes, (i, k)
             pairs += 1
             if found is None:
@@ -221,9 +222,9 @@ def emit_c7(outdir, workers):
     for tag, R in cubics:
         dh = hamiltonian_decide(R)
         F, k = reduce_cubham_to_isosoet(R)
-        found = iso_soet_decide(F, k, deterministic=True, workers=workers)
+        found = iso_soet_decide(F, k, workers=workers)
         G, k2 = reduce_isosoet_to_starvm(F, k)
-        ds = star_vm_decide(G, k2, deterministic=True, workers=workers)
+        ds = star_vm_decide(G, k2, workers=workers)
         assert dh.is_yes and found is not None and ds.is_yes, tag
         subset, cert = found
         assert is_soet(cert.tour, cert.subset) == cert.visit_word
@@ -284,7 +285,7 @@ def emit_c8(outdir, workers):
         cases.append((i, Vp))
     t0 = time.perf_counter()
     for i, Vp in cases:
-        assert soet_search(pool[i], Vp, deterministic=True) is None, (i, sorted(Vp))
+        assert soet_search(pool[i], Vp) is None, (i, sorted(Vp))
     elapsed = time.perf_counter() - t0
     lines = [f"F{i:02d} {serialize_subset(Vp)} no" for i, Vp in cases]
     (outdir / "c8.txt").write_text("\n".join(lines) + "\n")
@@ -392,3 +393,18 @@ def test_criterion_10_worker_determinism(run1, tmp_path):
         b = (run2 / f"{name}.txt").read_bytes()
         assert a == b, f"{name} artifacts differ between 1 and 2 workers"
     print("criterion 10: PASS (byte-identical artifacts, 1 vs 2 workers)")
+
+
+def test_artifacts_match_recorded_digests(run1):
+    # artifact_digests.txt is the output of artifact_digests.py; a change
+    # to any one-worker artifact of criteria 1-8 must re-record it on purpose
+    recorded = {}
+    for line in (Path(__file__).parent / "artifact_digests.txt").read_text().splitlines():
+        digest, path = line.split()
+        name, workers, _ = path.split("/")
+        if workers == "1":
+            recorded[name] = digest
+    for name in sorted(EMITTERS):
+        _ensure(run1, name)
+        got = hashlib.sha256((run1 / f"{name}.txt").read_bytes()).hexdigest()
+        assert got == recorded[name], f"{name} artifact differs from its recorded digest"

@@ -131,12 +131,8 @@ def test_orbit(worked_file, capsys):
 
 
 def test_budget_flag_and_env(worked_file, f0_file, monkeypatch, capsys):
-    # fast mode may settle via the tour shortcut without spending budget;
-    # deterministic mode always walks, so budget 0 leaves it open
-    assert (
-        run_command(["soet-solve", f0_file, "4", "--budget", "0", "--deterministic"])
-        == 2
-    )
+    # the SOET search always walks, so budget 0 leaves it open
+    assert run_command(["soet-solve", f0_file, "4", "--budget", "0"]) == 2
     assert run_command(["vm-solve-star", worked_file, "4", "--budget", "0"]) == 2
     monkeypatch.setenv("VMKIT_BUDGET", "0")
     assert run_command(["vm-solve-star", worked_file, "4"]) == 2
@@ -225,10 +221,21 @@ def test_json_format(worked_file, capsys):
 
 
 def test_deterministic_stdout_is_stable(f0_file, capsys):
-    assert run_command(["soet-solve", f0_file, "4", "--deterministic"]) == 0
+    assert run_command(["soet-solve", f0_file, "4"]) == 0
     first = capsys.readouterr().out
-    assert run_command(["soet-solve", f0_file, "4", "--deterministic"]) == 0
+    assert run_command(["soet-solve", f0_file, "4"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_soet_solve_prints_the_least_soet_class(f0_file, capsys):
+    # the one SOET mode prints the least class; there is no flag to ask for it
+    assert run_command(["soet-solve", f0_file, "4"]) == 0
+    assert capsys.readouterr().out == (
+        "subset a,b,c,d\ntour\n"
+        "a\n0\nb\n1\nc\n2\nd\n3\na\n4\ne\n5\nb\n6\nc\n7\ne\n8\nd\n9\n"
+    )
+    assert run_command(["soet-solve", f0_file, "4", "--deterministic"]) == 64
+    assert "--deterministic" in capsys.readouterr().err
 
 
 def test_pipeline_yes(files, tmp_path, capsys):

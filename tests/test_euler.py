@@ -132,12 +132,10 @@ def test_soet_search_fixture():
 
 def test_soet_search_deterministic_mode():
     Vp = frozenset("abcd")
-    det1 = soet_search(FX0, Vp, deterministic=True)
-    det2 = soet_search(FX0, Vp, deterministic=True)
+    det1 = soet_search(FX0, Vp)
+    det2 = soet_search(FX0, Vp)
     assert det1 == det2
     assert det1.tour == canonical_tour(det1.tour)
-    fast = soet_search(FX0, Vp)
-    assert is_soet(fast.tour, Vp) is not None
 
 
 def test_soet_search_validation_and_budget():
@@ -162,9 +160,7 @@ def test_soet_search_agrees_with_tour_enumeration():
                 for subset in combinations(F.vertices, k):
                     Vp = frozenset(subset)
                     hits = [U for U in classes if is_soet(U, Vp) is not None]
-                    fast = soet_search(F, Vp)
-                    det = soet_search(F, Vp, deterministic=True)
-                    assert (fast is not None) == bool(hits), (F, Vp)
+                    det = soet_search(F, Vp)
                     assert (det is not None) == bool(hits), (F, Vp)
                     if hits:
                         least = min(hits, key=lambda U: (U.edge_seq, U.vertex_seq))
@@ -179,19 +175,17 @@ def test_soet_search_step_counts():
     K4X = k3_expand(complete_graph("abcd"))
     yes = frozenset(f"{u}^({v})" for u, v in ("ab", "ac", "ba", "bd", "ca", "cd", "db", "dc"))
     no = frozenset(f"{u}^({v})" for u, v in ("ab", "ac", "ba", "bc", "ca", "cd", "db", "dc"))
-    for F, Vp, deterministic, steps, answer in (
-        (FX0, frozenset("abcd"), False, 16, True),
-        (FX0, frozenset("abcd"), True, 30, True),
-        (FX0, frozenset("abce"), True, 0, False),  # rejected before any step
-        (K4X, yes, False, 4533, True),
-        (K4X, yes, True, 9066, True),
-        (K4X, no, True, 3063, False),
+    for F, Vp, steps, answer in (
+        (FX0, frozenset("abcd"), 30, True),
+        (FX0, frozenset("abce"), 0, False),  # rejected before any step
+        (K4X, yes, 9066, True),
+        (K4X, no, 3063, False),
     ):
-        found = soet_search(F, Vp, budget=steps, deterministic=deterministic)
+        found = soet_search(F, Vp, budget=steps)
         assert (found is not None) == answer
         if steps:
             with pytest.raises(ResourceLimitError):
-                soet_search(F, Vp, budget=steps - 1, deterministic=deterministic)
+                soet_search(F, Vp, budget=steps - 1)
 
 
 def test_single_vertex_subset_always_works():
@@ -214,18 +208,19 @@ def test_iso_soet_decide_fixture():
 def test_iso_soet_decide_budget_and_workers():
     with pytest.raises(ResourceLimitError):
         iso_soet_decide(FX0, 4, budget=2)
-    a = iso_soet_decide(FX0, 4, deterministic=True, workers=1)
+    a = iso_soet_decide(FX0, 4, workers=1)
+    # the keyword is accepted and ignored: every answer is canonical
     b = iso_soet_decide(FX0, 4, deterministic=True, workers=2)
     assert a == b
 
 
 def test_budgeted_iso_soet_decide_is_worker_independent():
-    # fast mode on the K3-expansion of K4, k = 8 (495 subsets): budget 3000
-    # first says yes at subset 241 after 6 open ones, where the unbudgeted
-    # scan says yes at subset 169; budget 50 leaves 69 open and no yes
+    # the K3-expansion of K4, k = 8 (495 subsets): budget 5000 first says
+    # yes at subset 241 after 3 open ones, where the unbudgeted scan says
+    # yes at subset 169; budget 50 leaves 69 open and no yes
     K4X = k3_expand(complete_graph("abcd"))
-    one = iso_soet_decide(K4X, 8, budget=3000, workers=1)
-    assert one == iso_soet_decide(K4X, 8, budget=3000, workers=2)
+    one = iso_soet_decide(K4X, 8, budget=5000, workers=1)
+    assert one == iso_soet_decide(K4X, 8, budget=5000, workers=2)
     assert one[0] != iso_soet_decide(K4X, 8)[0]
     for workers in (1, 2):
         with pytest.raises(ResourceLimitError) as e:
@@ -244,10 +239,9 @@ def test_only_quick_no_survivors_are_searched(workers, monkeypatch):
 
     monkeypatch.setattr(euler, "soet_search", survivors_only)
     # quick-no rejects every 13-subset of the prism's expansion
-    assert iso_soet_decide(k3_expand(prism()), 13, deterministic=True,
-                           workers=workers) is None
+    assert iso_soet_decide(k3_expand(prism()), 13, workers=workers) is None
     subset, cert = iso_soet_decide(k3_expand(complete_graph("abcd")), 8,
-                                   deterministic=True, workers=workers)
+                                   workers=workers)
     assert subset == frozenset(("a^(b)", "a^(c)", "b^(a)", "b^(d)",
                                 "c^(a)", "c^(d)", "d^(b)", "d^(c)"))
     assert cert.visit_word == ("a^(b)", "b^(a)", "b^(d)", "d^(b)",
@@ -261,7 +255,7 @@ def test_deep_tour_walks_raise_resource_limit():
     vs = [f"v{i:03d}" for i in range(600)]
     F = MultiGraph(vs, [(vs[i], vs[(i + 1) % 600]) for i in range(600)] * 2)
     with pytest.raises(ResourceLimitError, match="1200 edges"):
-        soet_search(F, {"v000", "v001"}, deterministic=True)
+        soet_search(F, {"v000", "v001"})
     with pytest.raises(ResourceLimitError, match="1200 edges"):
         next(enumerate_euler_tours(F))
 
