@@ -58,10 +58,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _write(path, text):

@@ -540,4 +540,4 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     task = partial(_soet_subset_task, F, budget)
     survivors = (s for s in combinations(F.vertices, k)
                  if not _soet_quick_no(F, frozenset(s)))
-    return scan_subsets(task, survivors, workers)
+    return scan_subsets(task, survivors, workers, F)

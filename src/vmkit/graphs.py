@@ -10,6 +10,7 @@ ids are identity-bearing (tours reference them).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 
 
 def _check_labels(vertices):
@@ -250,21 +251,32 @@ def connected_components(F):
     return tuple(comps)
 
 
-def find_isomorphism(G: SimpleGraph, H: SimpleGraph):
-    """Edge-preserving bijection from V(G) to V(H), or None.
+def isomorphisms(G: SimpleGraph, H: SimpleGraph):
+    """Every edge-preserving bijection from V(G) to V(H), as label dicts.
 
-    Backtracking over the rows with degree pruning, without recursion.
-    Among all isomorphisms this returns the one whose image sequence over
-    G's sorted vertices is lexicographically least, so repeated runs are
-    reproducible and find_isomorphism(G, G) is the least automorphism.
+    They come in lexicographic order of their image sequences over G's
+    sorted vertices; isomorphisms(G, G) lists G's automorphisms.
     """
-    gr, hr = G.rows, H.rows
+    for img in _row_maps(G.rows, H.rows):
+        yield {g: H.vertices[h] for g, h in zip(G.vertices, img)}
+
+
+def _row_maps(gr, hr, steps=None):
+    """The isomorphisms between two row tuples as image position tuples.
+
+    Backtracking over the rows with degree pruning, without recursion,
+    trying images in ascending order so the maps come out in lexicographic
+    order.  With steps, the search stops after that many backtracking steps.
+    """
     n = len(gr)
     gdeg = [r.bit_count() for r in gr]
     hdeg = [r.bit_count() for r in hr]
     if len(hr) != n or sorted(gdeg) != sorted(hdeg):
-        return None
-    img, levels = [], []  # img[i]: the H position of G position i
+        return
+    if not n:
+        yield ()
+        return
+    img = []  # img[i]: the H position of G position i
 
     def images():
         # for the next position i: unused H positions of i's degree that
@@ -275,12 +287,58 @@ def find_isomorphism(G: SimpleGraph, H: SimpleGraph):
         return iter([h for h in range(n) if hdeg[h] == gdeg[i]
                      and not used >> h & 1 and hr[h] & used == want])
 
-    while len(img) < n:
-        levels.append(images())
-        while (h := next(levels[-1], None)) is None:
+    levels = [images()]  # levels[i]: the images left to try for position i
+    while levels and steps != 0:
+        if steps is not None:
+            steps -= 1
+        h = next(levels[-1], None)
+        if h is None:
             levels.pop()  # no image left at this level: backtrack
-            if not levels:
-                return None
-            img.pop()
-        img.append(h)
-    return {g: H.vertices[h] for g, h in zip(G.vertices, img)}
+            if img:
+                img.pop()
+        elif len(img) == n - 1:
+            yield (*img, h)
+        else:
+            img.append(h)
+            levels.append(images())
+
+
+def find_isomorphism(G: SimpleGraph, H: SimpleGraph):
+    """Edge-preserving bijection from V(G) to V(H), or None.
+
+    The first of isomorphisms(G, H): the one whose image sequence over G's
+    sorted vertices is lexicographically least, so repeated runs are
+    reproducible and find_isomorphism(G, G) is the least automorphism.
+    """
+    return next(isomorphisms(G, H), None)
+
+
+# Maps and backtracking steps spent per graph: K_n alone has n! maps, and a
+# 30-vertex K3-expansion of a cubic graph can take seconds to exhaust.
+_AUTOMORPHISM_CAP = 128
+_AUTOMORPHISM_STEPS = 50_000
+
+
+@lru_cache(maxsize=256)
+def automorphisms(F):
+    """Non-identity automorphisms of a SimpleGraph or MultiGraph.
+
+    Each is a tuple p mapping vertex position i to position p[i].  Those of
+    a multigraph are the automorphisms of its simple support that map its
+    edge multiset, loops included, onto itself.  Only the first
+    _AUTOMORPHISM_CAP maps of the support, in lexicographic order, that the
+    first _AUTOMORPHISM_STEPS steps of the search reach are examined, so
+    the list may be a part of the group; the identity, the least of them,
+    is left out.
+    """
+    if isinstance(F, SimpleGraph):
+        rows, keep = F.rows, None
+    else:
+        rows = F.simple_support().rows
+        pos = _index_of(F.vertices)
+        keep = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in F.edges)
+    maps = islice(_row_maps(rows, rows, _AUTOMORPHISM_STEPS), 1, _AUTOMORPHISM_CAP)
+    if keep is None:
+        return tuple(maps)
+    return tuple(p for p in maps
+                 if sorted(tuple(sorted((p[i], p[j]))) for i, j in keep) == keep)

@@ -287,7 +287,7 @@ def _decide_subsets(G, H, task, workers, within_component=True):
         comps = connected_components(G)
         subsets = (s for s in subsets if any(set(s) <= c for c in comps))
     try:
-        found = scan_subsets(task, subsets, workers)
+        found = scan_subsets(task, subsets, workers, G)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"{e.count} subsets hit the budget")
     if found is None:

@@ -6,17 +6,28 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vmkit
 from vmkit import (
     Dow,
     SimpleGraph,
     multigraph_from_word,
+    canonical_tour,
+    find_euler_tour,
     parse_bundle,
     parse_graph,
+    parse_subset,
+    parse_tour,
+    parse_witness,
+    parse_word,
     serialize_graph,
+    serialize_tour,
     verify_bundle_chain,
 )
 from vmkit.cli import run_command
@@ -187,6 +198,14 @@ def test_usage_and_validation_errors(files, worked_file, f0_file, capsys):
     assert "usage error" in err and "error:" in err
 
 
+def test_non_utf8_input_names_the_file(files, capsys):
+    bad = files("latin1.graph", "")
+    with open(bad, "wb") as fh:
+        fh.write(b"simple 2\nab\n\xff\n")
+    assert run_command(["ham", bad]) == 65
+    assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
 def test_write_failures(files, worked_file, capsys):
     k4 = files("k4.graph", serialize_graph(complete_graph("abcd")))
     bad = os.path.join(files("plain_file", ""), "x")  # a file's child
@@ -273,3 +292,88 @@ def test_pipeline_no(files, tmp_path, capsys):
     assert obj["status"] == "no"
     assert len(obj["files"]) == 5
     assert not os.path.exists(os.path.join(outdir, "ham_cycle.txt"))
+
+
+# Mutated inputs: valid texts of each format with a few characters inserted,
+# deleted or replaced.  "\r" is left out because reading a file in text mode
+# turns it into "\n", so the CLI would see another text than the parser.
+F0 = multigraph_from_word(Dow(X0))
+MUTATION_CHARS = "abcdeLCDISOtour=,:# -0129\n\t\x00\xe9"
+SEEDS = {
+    "graph": ["simple 5\nab\nac\nad\nbe\nce\n", serialize_graph(F0),
+              "simple 3\nvertices left right spare\nleft right\n"],
+    "word": ["a b c d a e b c e d\n", X0],
+    "tour": [serialize_tour(canonical_tour(find_euler_tour(F0)))],
+    "subset": ["a,b,c", "abce", "a b"],
+    "witness": ["LC a\nDEL e\nLC a\nISO a=a b=b c=c d=d\n"],
+}
+PARSERS = {
+    "graph": parse_graph,
+    "word": parse_word,
+    "tour": lambda text: parse_tour(text, F0),
+    "subset": lambda text: parse_subset(text, F0.vertices),
+    "witness": parse_witness,
+}
+
+
+@st.composite
+def mutated(draw, seeds):
+    text = draw(st.sampled_from(seeds))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        chunk = draw(st.text(MUTATION_CHARS, min_size=1, max_size=3))
+        cut = draw(st.sampled_from((0, len(chunk))))  # insert or replace
+        if draw(st.booleans()):
+            text = text[:i] + chunk + text[i + cut:]
+        else:
+            text = text[:i] + text[i + len(chunk):]  # delete
+    return text
+
+
+def _cli_argv(kind, path, text, put):
+    """A command that reads the mutated text through the parser of kind."""
+    f0 = put("f0.graph", serialize_graph(F0))
+    if kind == "graph":
+        return ["ham", path]
+    if kind == "word":
+        return ["alternance", path]
+    if kind == "tour":
+        # soet-verify reads a file whose first line is not "tour" as a word
+        first = next((ln.strip() for ln in text.splitlines() if ln.strip()), None)
+        return ["soet-verify", f0, path, "abce"] if first == "tour" else None
+    if kind == "subset":
+        # an argument that starts with "-" reads as an option: exit 64
+        tour = put("f0.tour", SEEDS["tour"][0])
+        return None if text.startswith("-") else ["soet-verify", f0, tour, text]
+    worked = put("worked.graph", serialize_graph(worked_graph()))
+    k4 = put("k4.graph", serialize_graph(complete_graph("abcd")))
+    return ["vm-verify", worked, k4, path]
+
+
+@pytest.mark.parametrize("kind", sorted(PARSERS))
+def test_mutated_inputs_raise_only_value_error(kind):
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(mutated(SEEDS[kind]))
+    def check(text):
+        try:
+            PARSERS[kind](text)
+        except ValueError:
+            pass  # any other exception fails the test
+        else:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            def put(name, body):
+                path = os.path.join(tmp, name)
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(body)
+                return path
+
+            argv = _cli_argv(kind, put("input", text), text, put)
+            if argv is None:
+                return
+            err = StringIO()
+            with redirect_stderr(err):
+                assert run_command(argv) == 65, (argv, err.getvalue())
+            assert err.getvalue().startswith("error: "), err.getvalue()
+
+    check()

@@ -1,4 +1,5 @@
 import pickle
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -13,7 +14,17 @@ from vmkit import (
     is_regular,
     local_complement,
 )
-from corpus_helpers import complete_graph, cycle_graph, path_graph, petersen, star_graph
+from vmkit import graphs
+from vmkit.graphs import automorphisms, isomorphisms
+from corpus_helpers import (
+    all_four_regular_multigraphs,
+    all_labeled_graphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen,
+    star_graph,
+)
 
 
 def test_simple_graph_basics():
@@ -166,3 +177,59 @@ def test_find_isomorphism_is_the_least_bijection():
                     want = f
                     break
             assert find_isomorphism(G, H) == want
+
+
+def test_isomorphisms_list_every_automorphism_in_order():
+    # every labeled graph on up to 5 vertices against a brute force over
+    # all vertex permutations in lexicographic order of their images
+    for n in range(6):
+        labels = "abcde"[:n]
+        perms = list(permutations(labels))
+        for G in all_labeled_graphs(labels):
+            want = []
+            for img in perms:
+                f = dict(zip(labels, img))
+                if all(G.has_edge(f[u], f[v]) for u, v in G.edges):
+                    want.append(f)
+            got = list(isomorphisms(G, G))
+            assert got == want, G
+            pos = {v: i for i, v in enumerate(labels)}
+            assert automorphisms(G) == tuple(
+                tuple(pos[f[v]] for v in labels) for f in want[1:])
+
+
+def _edge_multiset(edges, f):
+    return Counter(tuple(sorted((f[u], f[v]))) for u, v in edges)
+
+
+def test_multigraph_automorphisms_keep_multiplicities_and_loops():
+    corpus = [F for n in range(1, 6) for F in all_four_regular_multigraphs(n)]
+    assert len(corpus) == 45
+    for F in corpus:
+        vs = F.vertices
+        want = _edge_multiset(F.edges, {v: v for v in vs})
+        brute = [img for img in permutations(range(len(vs)))
+                 if _edge_multiset(F.edges, {v: vs[i] for v, i in zip(vs, img)}) == want]
+        assert brute[0] == tuple(range(len(vs)))
+        assert automorphisms(F) == tuple(brute[1:]), F
+    # parallel edges and loops cut the support's group down
+    F = MultiGraph("abc", [("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"),
+                           ("a", "a")])
+    assert len(automorphisms(F.simple_support())) == 5
+    assert automorphisms(F) == ()
+
+
+def test_automorphisms_are_capped(monkeypatch):
+    # K_8 has 8! automorphisms; a capped prefix of them is listed
+    K8 = complete_graph("abcdefgh")
+    auts = automorphisms(K8)
+    assert len(auts) == graphs._AUTOMORPHISM_CAP - 1
+    assert list(auts) == sorted(auts)
+    assert auts[0] == (0, 1, 2, 3, 4, 5, 7, 6)
+    # a bound on the search's steps also cuts the list to a prefix
+    P = petersen()
+    full = automorphisms(P)
+    assert len(full) == 119
+    monkeypatch.setattr(graphs, "_AUTOMORPHISM_STEPS", 200)
+    part = automorphisms.__wrapped__(P)
+    assert 0 < len(part) < len(full) and part == full[:len(part)]

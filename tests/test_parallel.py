@@ -3,11 +3,34 @@
 import multiprocessing
 import os
 from functools import partial
+from itertools import combinations, permutations
 
 import pytest
 
-from vmkit import ResourceLimitError
+from vmkit import (
+    ResourceLimitError,
+    SimpleGraph,
+    VmWitness,
+    alternance_graph,
+    connected_components,
+    find_euler_tour,
+    induced_word,
+    iso_soet_decide,
+    iso_vm_decide,
+    k3_expand,
+    star_vm_decide,
+)
+from vmkit import euler, solvers
 from vmkit.parallel import scan_subsets
+from vmkit.reduction import reduce_starvm_to_isovm
+
+from corpus_helpers import (
+    all_four_regular_multigraphs,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    petersen,
+)
 
 # 50 items: blocks of 16 at one worker and of 32 at two, so every scan below
 # crosses a block boundary at both worker counts
@@ -85,3 +108,169 @@ def test_one_scan_forks_once(tmp_path):
     pids = log.read_text().split()
     assert len(pids) == len(ITEMS)
     assert len(set(pids)) <= 2
+
+
+# The pruned scan against the plain one: each decider's answer equals
+# scan_subsets called with the same task and candidates and no graph, so
+# no automorphism skips anything.
+
+
+def _circle(F):
+    return alternance_graph(induced_word(find_euler_tour(F)))
+
+
+def _soet_scan(F, k):
+    task = partial(euler._soet_subset_task, F, None)
+    return task, [s for s in combinations(F.vertices, k)
+                  if not euler._soet_quick_no(F, frozenset(s))]
+
+
+def _in_one_component(G, k):
+    comps = connected_components(G)
+    return [s for s in combinations(G.vertices, k) if any(set(s) <= c for c in comps)]
+
+
+def _star_scan(G, k):
+    _, H = reduce_starvm_to_isovm(G, k)
+    return partial(solvers._star_task, G, H, None), _in_one_component(G, k)
+
+
+def _iso_scan(G, H):
+    task = partial(solvers._iso_task, G, H, solvers._orbit_buckets(H, 10**6), None)
+    if len(connected_components(H)) == 1:
+        return task, _in_one_component(G, len(H.vertices))
+    return task, list(combinations(G.vertices, len(H.vertices)))
+
+
+def _vm(found):
+    """A vertex-minor scan's result in the form of a Decision's witness."""
+    if found is None:
+        return None
+    subset, (ops, iso) = found
+    return subset, VmWitness(tuple(ops), iso)
+
+
+def _check_against_plain_scans(F, G, workers, soet_ks=None):
+    for k in soet_ks or range(1, len(F.vertices) + 1):
+        assert iso_soet_decide(F, k, workers=workers) == \
+            scan_subsets(*_soet_scan(F, k), workers), (F, k)
+    for k in range(2, len(G.vertices) + 1):
+        assert star_vm_decide(G, k, workers=workers).witness == \
+            _vm(scan_subsets(*_star_scan(G, k), workers)), (G, k)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_scans_equal_plain_scans_on_the_corpus(workers):
+    corpus = [F for n in range(1, 6) for F in all_four_regular_multigraphs(n)]
+    assert len(corpus) == 45
+    for F in corpus:
+        _check_against_plain_scans(F, _circle(F), workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_scans_equal_plain_scans_on_k4(workers):
+    # the K3-expansion of K4 and its circle graph have 24 and 16
+    # automorphisms, and many of their scans say NO before the first YES;
+    # at k <= 4 a plain scan at two workers spends seconds on the SOET
+    # searches of its first block
+    F = k3_expand(complete_graph("abcd"))
+    _check_against_plain_scans(F, _circle(F), workers, soet_ks=range(5, 13))
+
+
+def _wheel5():
+    rim = ["w1", "w2", "w3", "w4", "w5"]
+    return SimpleGraph(["w0"] + rim, [("w0", x) for x in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pruned_scans_on_symmetric_graphs(workers):
+    # K12 and the edgeless graph on 12 vertices have far more automorphisms
+    # than are listed; Petersen has 120, all listed
+    labels = [f"v{i:02d}" for i in range(12)]
+    K12, E12 = complete_graph(labels), SimpleGraph(labels)
+    for G in (K12, E12):
+        for k in range(2, 13):
+            assert star_vm_decide(G, k, workers=workers).witness == \
+                _vm(scan_subsets(*_star_scan(G, k), workers))
+    P = petersen()
+    assert star_vm_decide(P, 5, workers=workers).witness == \
+        _vm(scan_subsets(*_star_scan(P, 5), workers))
+    for G, H in [(K12, path_graph("abcd")), (E12, SimpleGraph("abc", [("a", "b")])),
+                 (P, cycle_graph("abcde")), (P, path_graph("abcdef"))]:
+        assert iso_vm_decide(G, H, workers=workers).witness == \
+            _vm(scan_subsets(*_iso_scan(G, H), workers)), (G, H)
+
+
+def _logged(path, task, subset):
+    with open(path, "a") as fh:
+        fh.write(" ".join(subset) + "\n")
+    return task(subset)
+
+
+def _searched(tmp_path, scan, graph, workers):
+    """The subsets a scan searched up to its first YES, and its result."""
+    path = tmp_path / f"searched_{workers}"
+    path.write_text("")
+    task, cands = scan
+    found = scan_subsets(partial(_logged, path, task), cands, workers, graph)
+    searched = {tuple(line.split()) for line in path.read_text().splitlines()}
+    if found is not None:
+        # a pool searches a whole round, which may reach past the YES
+        last = tuple(sorted(found[0]))
+        searched = {s for s in searched if s <= last}
+    return searched, found
+
+
+def test_pruned_scans_search_the_same_subsets_at_every_worker_count(tmp_path):
+    F = k3_expand(complete_graph("abcd"))
+    G = _circle(F)
+    W5 = _wheel5()
+    # (searched, candidates up to the first YES or all of them)
+    for graph, scan, counts in [(F, _soet_scan(F, 7), (10, 20)),
+                                (G, _star_scan(G, 6), (66, 91)),
+                                (G, _star_scan(G, 9), (60, 220)),
+                                (G, _iso_scan(G, W5), (190, 924))]:
+        one, found = _searched(tmp_path, scan, graph, 1)
+        assert (one, found) == _searched(tmp_path, scan, graph, 2)
+        assert found == scan_subsets(*scan, 1)
+        before = [s for s in scan[1] if found is None or s <= tuple(sorted(found[0]))]
+        assert (len(one), len(before)) == counts
+
+
+def _open_or_no(open_, subset):
+    if subset in open_:
+        raise ResourceLimitError("fake budget ran out")
+    return None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_open_images_are_searched_and_settled_ones_skipped(tmp_path, workers):
+    # C8 has 16 automorphisms; every third 4-subset runs out of budget.  A
+    # reference applies the rule one subset at a time, with every
+    # automorphism found by brute force.
+    G = cycle_graph("abcdefgh")
+    cands = list(combinations(G.vertices, 4))
+    open_ = set(cands[::3])
+    auts = []
+    for img in permutations(G.vertices):
+        f = dict(zip(G.vertices, img))
+        if all(G.has_edge(f[u], f[v]) for u, v in G.edges):
+            auts.append(f)
+    assert len(auts) == 16
+    want, opened = [], set()
+    for s in cands:
+        earlier = {tuple(sorted(f[v] for v in s)) for f in auts} - {s}
+        if any(r < s and r not in opened for r in earlier):
+            continue  # an earlier image said NO or was skipped
+        want.append(s)
+        if s in open_:
+            opened.add(s)
+    path = tmp_path / "searched"
+    path.write_text("")
+    with pytest.raises(ResourceLimitError) as e:
+        scan_subsets(partial(_logged, path, partial(_open_or_no, open_)), cands, workers, G)
+    got = [tuple(line.split()) for line in path.read_text().splitlines()]
+    assert sorted(got) == want
+    assert e.value.count == len(opened)
+    # 8 orbits, so five searches are there because an earlier image is open
+    assert (len(want), len(opened)) == (13, 6)
