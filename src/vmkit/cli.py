@@ -55,6 +55,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        ns = super().parse_args(args, namespace)
+        # some argparse versions hand a positional an empty list when its
+        # value after "--" is itself "--"
+        for name, value in vars(ns).items():
+            if isinstance(value, list):
+                raise _UsageError(f"argument {name}: expected one argument")
+        return ns
+
 
 def _read(path):
     try:

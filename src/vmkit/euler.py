@@ -333,10 +333,19 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     and moves it to the other end of edge 0, so a hit is followed by a
     second walk anchored there (none when edge 0 is a loop), and the
     certificate is built on the lesser canonical tour of the two hits: the
-    least SOET class, the same on every call.  `budget` caps the extension
-    steps of both walks together; exceeding it raises ResourceLimitError,
-    leaving the question open, and so does a tour too long for the
-    recursive walk.
+    least SOET class, the same on every call.
+
+    Parallel edges (loops included) are taken in ascending id order: an
+    edge is skipped while its next-lesser twin, the parallel edge of the
+    next lesser id, is unused.  Swapping two parallel edges in a tour keeps
+    its vertex sequence, so it stays a SOET and passes every pruning test,
+    which read only the vertex sequence and the endpoints of unused edges;
+    and putting the lesser id first makes edge_seq lesser.  So the least
+    SOET from each anchor never takes an edge before its twin: each walk's
+    first hit is the one it would be without the rule, and a NO still
+    exhausts every vertex sequence.  `budget` caps the extension steps of
+    both walks together; exceeding it raises ResourceLimitError, leaving
+    the question open, and so does a tour too long for the recursive walk.
     """
     Vp = frozenset(vertex_subset)
     if not Vp:
@@ -360,6 +369,12 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     # (edge id, far end) pairs at each vertex, edge ids ascending
     nbrs = {v: [(e, ends[e][1] if ends[e][0] == v else ends[e][0])
                 for e in F.incident(v)] for v in F.vertices}
+    # each edge's next-lesser parallel twin, or L: a slot that stays used
+    twin = [L] * L
+    last = {}
+    for e, pair in enumerate(ends):
+        twin[e] = last.get(pair, L)
+        last[pair] = e
     nodes = 0
 
     def reaches(cur, targets, blocked):
@@ -412,7 +427,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
                 return None
             return EulerianTour(F, tuple(vseq[:-1]), tuple(eseq))
         for eid, nxt in nbrs[cur][:1] if not eseq else nbrs[cur]:
-            if used[eid]:
+            if used[eid] or not used[twin[eid]]:
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
@@ -448,7 +463,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
 
     hits = []
     for anchor in dict.fromkeys(ends[0]):
-        used = [False] * L
+        used = [False] * L + [True]
         free = {v: 4 for v in F.vertices}  # unused edge ends at each vertex
         vseq = [anchor]
         eseq = []

@@ -22,7 +22,6 @@ settled NO.  The rule depends only on what earlier subsets said, so a scan
 searches the same subsets at every worker count.
 """
 
-import multiprocessing
 from contextlib import nullcontext
 from functools import lru_cache, partial
 from itertools import chain, islice
@@ -44,6 +43,8 @@ def pmap(fn, items, workers=1):
 
 
 def _fork_pool(workers):
+    import multiprocessing  # here, not at import time: most runs never fork
+
     try:
         return multiprocessing.get_context("fork").Pool(workers)
     except OSError as e:

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vmkit
 from vmkit import (
@@ -198,6 +198,18 @@ def test_usage_and_validation_errors(files, worked_file, f0_file, capsys):
     assert "usage error" in err and "error:" in err
 
 
+def test_double_dash_positional_is_a_usage_error(files, f0_file):
+    # some argparse versions hand a positional "--" given after "--" as []
+    tour = files("f0.tour", SEEDS["tour"][0])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vmkit.__file__)))
+    for argv, name in ((["soet-verify", f0_file, tour, "--", "--"], "subset"),
+                       (["soet-solve", f0_file, "--", "--"], "k")):
+        proc = subprocess.run([sys.executable, "-m", "vmkit.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 64, proc.stderr
+        assert proc.stderr == f"usage error: argument {name}: expected one argument\n"
+
+
 def test_non_utf8_input_names_the_file(files, capsys):
     bad = files("latin1.graph", "")
     with open(bad, "wb") as fh:
@@ -342,9 +354,10 @@ def _cli_argv(kind, path, text, put):
         first = next((ln.strip() for ln in text.splitlines() if ln.strip()), None)
         return ["soet-verify", f0, path, "abce"] if first == "tour" else None
     if kind == "subset":
-        # an argument that starts with "-" reads as an option: exit 64
+        # after "--" an argument that starts with "-" is not read as an
+        # option; "--" itself is a usage error (exit 64), tested above
         tour = put("f0.tour", SEEDS["tour"][0])
-        return None if text.startswith("-") else ["soet-verify", f0, tour, text]
+        return None if text == "--" else ["soet-verify", f0, tour, "--", text]
     worked = put("worked.graph", serialize_graph(worked_graph()))
     k4 = put("k4.graph", serialize_graph(complete_graph("abcd")))
     return ["vm-verify", worked, k4, path]
@@ -354,6 +367,7 @@ def _cli_argv(kind, path, text, put):
 def test_mutated_inputs_raise_only_value_error(kind):
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(mutated(SEEDS[kind]))
+    @example("-a,b")  # no mutated text starts with "-"
     def check(text):
         try:
             PARSERS[kind](text)

@@ -175,11 +175,15 @@ def test_soet_search_step_counts():
     K4X = k3_expand(complete_graph("abcd"))
     yes = frozenset(f"{u}^({v})" for u, v in ("ab", "ac", "ba", "bd", "ca", "cd", "db", "dc"))
     no = frozenset(f"{u}^({v})" for u, v in ("ab", "ac", "ba", "bc", "ca", "cd", "db", "dc"))
+    # the prism's least YES subset at k = 12, the heaviest search of `chain`
+    prism_yes = frozenset(f"{u}^({v})" for u, v in (
+        "ab", "ac", "ba", "be", "ca", "cf", "de", "df", "eb", "ed", "fc", "fd"))
     for F, Vp, steps, answer in (
         (FX0, frozenset("abcd"), 30, True),
         (FX0, frozenset("abce"), 0, False),  # rejected before any step
-        (K4X, yes, 9066, True),
-        (K4X, no, 3063, False),
+        (K4X, yes, 550, True),
+        (K4X, no, 259, False),
+        (k3_expand(prism()), prism_yes, 3506, True),
     ):
         found = soet_search(F, Vp, budget=steps)
         assert (found is not None) == answer
@@ -215,12 +219,12 @@ def test_iso_soet_decide_budget_and_workers():
 
 
 def test_budgeted_iso_soet_decide_is_worker_independent():
-    # the K3-expansion of K4, k = 8 (495 subsets): budget 5000 first says
-    # yes at subset 241 after 3 open ones, where the unbudgeted scan says
-    # yes at subset 169; budget 50 leaves 69 open and no yes
+    # the K3-expansion of K4, k = 8 (495 subsets): budget 500 first says
+    # yes at subset 241, where the unbudgeted scan says yes at subset 169
+    # (whose search takes 550 steps); budget 50 leaves 69 open and no yes
     K4X = k3_expand(complete_graph("abcd"))
-    one = iso_soet_decide(K4X, 8, budget=5000, workers=1)
-    assert one == iso_soet_decide(K4X, 8, budget=5000, workers=2)
+    one = iso_soet_decide(K4X, 8, budget=500, workers=1)
+    assert one == iso_soet_decide(K4X, 8, budget=500, workers=2)
     assert one[0] != iso_soet_decide(K4X, 8)[0]
     for workers in (1, 2):
         with pytest.raises(ResourceLimitError) as e:

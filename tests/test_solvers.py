@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmkit import (
     Decision,
@@ -204,6 +205,29 @@ def test_deciders_agree_with_closure_on_worked_graph():
     for H in targets:
         d = labeled_vm_decide(G, H)
         assert d.is_yes == (H in closure)
+        if d.is_yes:
+            assert verify_vm_witness(G, H, d.witness)
+
+
+@st.composite
+def labeled_graphs(draw, labels):
+    pairs = [p for p in combinations(labels, 2) if draw(st.booleans())]
+    return SimpleGraph(labels, pairs)
+
+
+# derandomized and without an example database, like the other property
+# tests; one closure of a 6-vertex graph takes up to about 0.3 s
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(labeled_graphs("abcdef"), st.data())
+def test_labeled_decide_agrees_with_closure_on_six_vertices(G, data):
+    closure = vertex_minor_closure(G)
+    members = sorted(closure, key=lambda M: (M.vertices, M.sorted_edges()))
+    inside = data.draw(st.sampled_from(members))
+    labels = data.draw(st.lists(st.sampled_from("abcdef"), min_size=1, unique=True))
+    anywhere = data.draw(labeled_graphs(sorted(labels)))
+    for H in (inside, anywhere):
+        d = labeled_vm_decide(G, H)
+        assert d.is_yes == (H in closure), (G, H, d)
         if d.is_yes:
             assert verify_vm_witness(G, H, d.witness)
 
