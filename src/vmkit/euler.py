@@ -175,10 +175,12 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
     edge's lesser endpoint.  Every class of tours contains such a
     representative, and duplicates (possible when edge 0 is a loop) are
     removed with the canonical class key.  If limit is given, finding a
-    further class beyond that many raises ResourceLimitError.  The walk
-    recurses once per edge; a tour too long for the interpreter's recursion
-    limit raises ResourceLimitError as well.
+    further class beyond that many raises ResourceLimitError; a limit below 1
+    raises ValueError.  The walk recurses once per edge; a tour too long for
+    the interpreter's recursion limit raises ResourceLimitError as well.
     """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
     _check_eulerian_preconditions(F)
     L = F.n_edges
     ends = F.edges

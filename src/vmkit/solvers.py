@@ -34,7 +34,7 @@ from .lc import (
 )
 from .parallel import scan_subsets
 from .reduction import reduce_starvm_to_isovm, require_cubic
-from .words import alternance_graph, induced_subword
+from .words import alternance_graph
 
 
 @dataclass(frozen=True)
@@ -463,43 +463,56 @@ def vertex_minor_closure(G: SimpleGraph, node_cap: int = DEFAULT_NODE_CAP):
 
 
 @lru_cache(maxsize=32)
-def _tour_words(F, limit):
-    """The induced words of F's Eulerian tour classes, in discovery order.
+def _tour_index(F, limit):
+    """G0, F's tour classes in discovery order, and their per-vertex-set indexes.
 
-    More than `limit` classes raise ResourceLimitError, which is not cached.
+    Each class is its induced word and alternance graph.  The dict, filled by
+    vm_oracle_via_tours, maps a sorted vertex tuple to {restricted rows: the
+    first class with those rows}.  More than `limit` classes raise
+    ResourceLimitError, which is not cached.
     """
-    return tuple(induced_word(U) for U in enumerate_euler_tours(F, limit))
+    G0 = alternance_graph(induced_word(find_euler_tour(F)))
+    words = [induced_word(U) for U in enumerate_euler_tours(F, limit)]
+    return G0, tuple((w, alternance_graph(w)) for w in words), {}
 
 
 def vm_oracle_via_tours(F, H: SimpleGraph, limit=None) -> Decision:
     """Tour-based labeled vertex-minor oracle over the circle graphs of F.
 
-    Scans Eulerian tour classes of F for one whose induced sub-word over
-    V(H) has alternance graph exactly H.  Independent of the elimination
-    machinery; the YES witness is assembled against the alternance graph of
-    find_euler_tour's tour and checked like any other.  Tour classes are cached
-    per multigraph and limit, so repeated targets on one F cost one
-    enumeration; more than `limit` classes make the answer UNKNOWN.
+    Finds the first Eulerian tour class of F, in enumeration order, whose
+    induced sub-word over V(H) has alternance graph exactly H.  That graph is
+    the tour's alternance graph restricted to V(H), so each multigraph's
+    record (kept for the last 32 (F, limit) pairs) holds G0, every class's
+    word and alternance graph, and per vertex set an index from restricted
+    rows to the first class: a call is one lookup.  Independent of the
+    elimination machinery; the YES witness is assembled against G0, the
+    alternance graph of find_euler_tour's tour, and checked like any other.
+    More than `limit` classes make the answer UNKNOWN.
     """
     want = set(H.vertices)
     missing = sorted(want - set(F.vertices))
     if missing:
         raise ValueError(f"H vertex {missing[0]!r} is not a vertex of F")
-    G0 = alternance_graph(induced_word(find_euler_tour(F)))
     try:
-        words = _tour_words(F, limit)
+        G0, classes, by_set = _tour_index(F, limit)
     except ResourceLimitError as e:
         return Decision("unknown", None, str(e))
-    for word in words:
-        if alternance_graph(induced_subword(word, want)) != H:
-            continue
-        lcw = lc_word_between(G0, alternance_graph(word))
-        if lcw is None:
-            raise RuntimeError("tour alternance graph escaped the LC orbit")
-        ops = tuple(("LC", x) for x in lcw) + tuple(
-            ("DEL", v) for v in G0.vertices if v not in want
-        )
-        w = VmWitness(ops, tuple((v, v) for v in sorted(want)))
-        _require_verified(G0, H, w)
-        return Decision("yes", w, f"tour {word.to_text()}")
-    return Decision("no", None, "all tour classes enumerated")
+    index = by_set.get(H.vertices)
+    if index is None:
+        keep = [p for p, v in enumerate(G0.vertices) if v in want]
+        index = by_set[H.vertices] = {}
+        for c in classes:
+            index.setdefault(_restrict(c[1].rows, keep), c)
+    hit = index.get(H.rows)
+    if hit is None:
+        return Decision("no", None, "all tour classes enumerated")
+    word, g = hit
+    lcw = lc_word_between(G0, g)
+    if lcw is None:
+        raise RuntimeError("tour alternance graph escaped the LC orbit")
+    ops = tuple(("LC", x) for x in lcw) + tuple(
+        ("DEL", v) for v in G0.vertices if v not in want
+    )
+    w = VmWitness(ops, tuple((v, v) for v in sorted(want)))
+    _require_verified(G0, H, w)
+    return Decision("yes", w, f"tour {word.to_text()}")

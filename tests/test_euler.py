@@ -9,6 +9,7 @@ from vmkit import (
     EulerianTour,
     MultiGraph,
     ResourceLimitError,
+    SimpleGraph,
     SoetCertificate,
     canonical_tour,
     consecutive_pairs,
@@ -22,6 +23,7 @@ from vmkit import (
     multigraph_from_word,
     soet_search,
     tour_from_word,
+    vm_oracle_via_tours,
 )
 
 from corpus_helpers import all_four_regular_multigraphs, complete_graph, prism
@@ -95,6 +97,15 @@ def test_enumerate_limit():
     F = multigraph_from_word(X0)
     with pytest.raises(ResourceLimitError):
         list(enumerate_euler_tours(F, limit=2))
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_enumerate_rejects_a_limit_below_one(limit):
+    F = multigraph_from_word(X0)
+    with pytest.raises(ValueError, match="limit must be positive"):
+        list(enumerate_euler_tours(F, limit=limit))
+    with pytest.raises(ValueError, match="limit must be positive"):
+        vm_oracle_via_tours(F, SimpleGraph("a", []), limit=limit)
 
 
 def test_is_soet_fixture():

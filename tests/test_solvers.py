@@ -5,6 +5,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vmkit.solvers as solvers
+
 from vmkit import (
     Decision,
     Dow,
@@ -14,10 +16,12 @@ from vmkit import (
     alternance_graph,
     classify_star_or_complete,
     delete_vertex,
+    enumerate_euler_tours,
     enumerate_hamiltonian_cycles,
     find_euler_tour,
     find_isomorphism,
     hamiltonian_decide,
+    induced_subword,
     induced_word,
     iso_vm_decide,
     k3_expand,
@@ -331,6 +335,40 @@ def test_oracle_limit_and_bad_target():
     assert vm_oracle_via_tours(F, star_graph("abcd"), limit=1).is_unknown
     with pytest.raises(ValueError):
         vm_oracle_via_tours(F, SimpleGraph("z", []))
+
+
+def _scanned_oracle_decision(words, H):
+    """The oracle's answer by a plain scan of the classes in enumeration order."""
+    for word in words:
+        if alternance_graph(induced_subword(word, H.vertices)) == H:
+            return Decision("yes", None, f"tour {word.to_text()}")
+    return Decision("no", None, "all tour classes enumerated")
+
+
+def test_indexed_oracle_matches_the_tour_scan():
+    calls = 0
+    for n in (1, 2, 3, 4):
+        for F in all_four_regular_multigraphs(n):
+            words = [induced_word(U) for U in enumerate_euler_tours(F)]
+            G0 = alternance_graph(induced_word(find_euler_tour(F)))
+            for size in range(1, min(3, n) + 1):
+                for S in combinations(F.vertices, size):
+                    for H in all_labeled_graphs(S):
+                        want = _scanned_oracle_decision(words, H)
+                        d = vm_oracle_via_tours(F, H)
+                        assert (d.status, d.detail) == (want.status, want.detail)
+                        assert not d.is_yes or verify_vm_witness(G0, H, d.witness)
+                        calls += 1
+            if len(words) > 1:
+                # An overflow is not cached: a repeat misses the cache, and
+                # the unlimited call still decides.
+                H = SimpleGraph(F.vertices[:1], [])
+                hits = solvers._tour_index.cache_info().hits
+                for _ in range(2):
+                    assert vm_oracle_via_tours(F, H, limit=1).is_unknown
+                assert solvers._tour_index.cache_info().hits == hits
+                assert vm_oracle_via_tours(F, H).status == "yes"
+    assert calls > 500, calls
 
 
 def _elimination_leaves(G, keep):
