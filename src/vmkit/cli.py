@@ -77,7 +77,7 @@ def _read(path):
 
 def _write(path, text):
     try:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as e:
         raise _WriteError(f"cannot write {path}: {e.strerror}") from None

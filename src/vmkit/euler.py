@@ -176,8 +176,7 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
     representative, and duplicates (possible when edge 0 is a loop) are
     removed with the canonical class key.  If limit is given, finding a
     further class beyond that many raises ResourceLimitError; a limit below 1
-    raises ValueError.  The walk recurses once per edge; a tour too long for
-    the interpreter's recursion limit raises ResourceLimitError as well.
+    raises ValueError.
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
@@ -185,45 +184,38 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
     L = F.n_edges
     ends = F.edges
     inc = {v: F.incident(v) for v in F.vertices}
-    anchor = ends[0][0]
     seen = set()
     used = [False] * L
-    vseq = [anchor]
+    vseq = [ends[0][0]]
     eseq = []
-
-    def walk(cur):
-        if len(eseq) == L:
-            if cur != anchor:
-                return
-            key = _class_key(tuple(vseq[:-1]), tuple(eseq))
+    levels = [iter((0,))]  # levels[i]: the edges left to try for step i
+    while levels:
+        for eid in levels[-1]:
+            if used[eid]:
+                continue
+            a, b = ends[eid]
+            nxt = b if vseq[-1] == a else a
+            if len(eseq) < L - 1:
+                used[eid] = True
+                eseq.append(eid)
+                vseq.append(nxt)
+                levels.append(iter(inc[nxt]))
+                break
+            # the last edge: even degrees close the walk at the anchor
+            key = _class_key(tuple(vseq), (*eseq, eid))
             if key in seen:
-                return
+                continue
             if limit is not None and len(seen) >= limit:
                 raise ResourceLimitError(
                     f"more than {limit} tour classes", count=len(seen)
                 )
             seen.add(key)
             yield EulerianTour(F, key[1], key[0])
-            return
-        for eid in (0,) if not eseq else inc[cur]:
-            if used[eid]:
-                continue
-            a, b = ends[eid]
-            nxt = b if cur == a else a
-            used[eid] = True
-            eseq.append(eid)
-            vseq.append(nxt)
-            yield from walk(nxt)
-            vseq.pop()
-            eseq.pop()
-            used[eid] = False
-
-    try:
-        yield from walk(anchor)
-    except RecursionError:
-        raise ResourceLimitError(
-            f"tour walk too deep to recurse over {L} edges", count=len(seen)
-        ) from None
+        else:  # no edge left at this step: backtrack
+            levels.pop()
+            if eseq:
+                used[eseq.pop()] = False
+                vseq.pop()
 
 
 def is_soet(U: EulerianTour, vertex_subset):
@@ -347,7 +339,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     first hit is the one it would be without the rule, and a NO still
     exhausts every vertex sequence.  `budget` caps the extension steps of
     both walks together; exceeding it raises ResourceLimitError, leaving
-    the question open, and so does a tour too long for the recursive walk.
+    the question open.
     """
     Vp = frozenset(vertex_subset)
     if not Vp:
@@ -422,46 +414,51 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
             return True
         return visits[pos - k] == nxt
 
-    def walk(cur):
+    def walk(anchor):
         nonlocal nodes
-        if len(eseq) == L:
-            if cur != anchor:
-                return None
-            return EulerianTour(F, tuple(vseq[:-1]), tuple(eseq))
-        for eid, nxt in nbrs[cur][:1] if not eseq else nbrs[cur]:
-            if used[eid] or not used[twin[eid]]:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise ResourceLimitError(
-                    f"SOET search exceeded {budget} steps", count=nodes
-                )
-            arriving = nxt in Vp
-            if arriving and not admissible(nxt):
-                continue
-            used[eid] = True
-            free[cur] -= 1
-            free[nxt] -= 1
-            eseq.append(eid)
-            vseq.append(nxt)
-            if arriving:
-                if len(visits) < k:
-                    firstseen.add(nxt)
-                visits.append(nxt)
-            if rest_connected(nxt) and gap_ok(nxt):
-                found = walk(nxt)
-                if found is not None:
-                    return found
-            if arriving:
-                visits.pop()
-                if len(visits) < k:
-                    firstseen.discard(nxt)
-            vseq.pop()
-            eseq.pop()
-            free[cur] += 1
-            free[nxt] += 1
-            used[eid] = False
-        return None
+        levels = [iter(nbrs[anchor][:1])]  # levels[i]: the steps left at step i
+        while True:
+            for eid, nxt in levels[-1]:
+                if used[eid] or not used[twin[eid]]:
+                    continue
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise ResourceLimitError(
+                        f"SOET search exceeded {budget} steps", count=nodes
+                    )
+                if nxt in Vp and not admissible(nxt):
+                    continue
+                cur = vseq[-1]
+                used[eid] = True
+                free[cur] -= 1
+                free[nxt] -= 1
+                eseq.append(eid)
+                vseq.append(nxt)
+                if nxt in Vp:
+                    if len(visits) < k:
+                        firstseen.add(nxt)
+                    visits.append(nxt)
+                if not (rest_connected(nxt) and gap_ok(nxt)):
+                    levels.append(iter(()))  # pruned: the step is taken back next
+                elif len(eseq) < L:
+                    levels.append(iter(nbrs[nxt]))
+                else:  # even degrees close the walk at the anchor
+                    return EulerianTour(F, tuple(vseq[:-1]), tuple(eseq))
+                break
+            else:  # no step left here: take back the one that led here
+                levels.pop()
+                if not eseq:
+                    return None
+                eid = eseq.pop()
+                nxt = vseq.pop()
+                cur = vseq[-1]
+                if nxt in Vp:
+                    visits.pop()
+                    if len(visits) < k:
+                        firstseen.discard(nxt)
+                free[cur] += 1
+                free[nxt] += 1
+                used[eid] = False
 
     hits = []
     for anchor in dict.fromkeys(ends[0]):
@@ -471,12 +468,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
         eseq = []
         visits = []
         firstseen = set()
-        try:
-            U = walk(anchor)
-        except RecursionError:
-            raise ResourceLimitError(
-                f"SOET search too deep to recurse over {L} edges", count=nodes
-            ) from None
+        U = walk(anchor)
         if U is None:
             return None  # the walk exhausted every tour from its anchor
         hits.append(canonical_tour(U))

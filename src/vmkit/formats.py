@@ -28,7 +28,10 @@ def _fail(line_no, col, msg):
 
 
 def _label_ok(tok):
-    return tok and not any(ch in tok for ch in "=,") and not tok.isspace()
+    # "#" would start a comment line and "vertices" the declaration line
+    # once the label leads a written line; "=" and "," separate labels
+    return (tok and tok[0] != "#" and tok != "vertices"
+            and not any(ch in tok for ch in "=,") and not tok.isspace())
 
 
 def _edge_tokens(line):
@@ -123,11 +126,18 @@ def serialize_graph(G) -> str:
 
 
 def parse_word(text: str) -> Dow:
-    """Parse a double-occurrence word, spaced or as one unspaced token."""
+    """Parse a double-occurrence word, spaced or as one unspaced token.
+
+    Its letters become graph labels, so each must be a valid one.
+    """
     toks = text.split()
     if not toks:
         raise ValueError("line 1, column 1: empty word")
-    return Dow.from_text(" ".join(toks))
+    w = Dow.from_text(" ".join(toks))
+    for x in w.letters:
+        if not _label_ok(x):
+            raise ValueError(f"bad label {x!r}")
+    return w
 
 
 def serialize_word(w: Dow) -> str:

@@ -126,39 +126,31 @@ def enumerate_hamiltonian_cycles(R: SimpleGraph):
     start = vs[0]
     path = [start]
     used = {start}
-
-    def extend():
-        if len(path) == n:
-            if R.has_edge(path[-1], start) and path[1] < path[-1]:
-                yield tuple(path)
-            return
-        for y in sorted(R.neighbors(path[-1])):
-            if y not in used:
-                path.append(y)
-                used.add(y)
-                yield from extend()
-                path.pop()
-                used.discard(y)
-
-    yield from extend()
+    levels = [iter(sorted(R.neighbors(start)))]  # levels[i]: path[i+1]'s options
+    while levels:
+        for y in levels[-1]:
+            if y in used:
+                continue
+            if len(path) == n - 1:
+                if R.has_edge(y, start) and path[1] < y:
+                    yield (*path, y)
+                continue
+            path.append(y)
+            used.add(y)
+            levels.append(iter(sorted(R.neighbors(y))))
+            break
+        else:  # no neighbour left: backtrack
+            levels.pop()
+            used.discard(path.pop())
 
 
 def hamiltonian_decide(R: SimpleGraph) -> Decision:
-    """Exact Hamiltonicity for connected cubic graphs, least cycle on YES.
-
-    The search recurses once per path vertex; a graph too large for the
-    interpreter's recursion limit raises ResourceLimitError.
-    """
+    """Exact Hamiltonicity for connected cubic graphs, least cycle on YES."""
     require_cubic(R)
     if len(connected_components(R)) > 1:
         raise ValueError("the cubic graph must be connected")
-    try:
-        for cyc in enumerate_hamiltonian_cycles(R):
-            return Decision("yes", cyc, "least Hamiltonian cycle")
-    except RecursionError:
-        raise ResourceLimitError(
-            f"Hamiltonian cycle search too deep to recurse over {len(R.vertices)} vertices"
-        ) from None
+    for cyc in enumerate_hamiltonian_cycles(R):
+        return Decision("yes", cyc, "least Hamiltonian cycle")
     return Decision("no", None, "exhausted all vertex orders")
 
 
@@ -167,12 +159,12 @@ class _ElimSearch:
 
     Graph states are G's adjacency rows with the deleted vertices masked
     out, so identical states reached along different prefixes share one
-    failure verdict through the memo.  The options at each victim v come as
-    nothing, LC v, then the pivot, each followed by ("DEL", v); since "DEL"
-    sorts before "LC", leaves are reached in lexicographic order of their
-    ops sequences, and the first accepting leaf carries the least one.  The
-    walk recurses once per victim; a victim order too long for the
-    interpreter's recursion limit raises ResourceLimitError.
+    failure verdict through the memo.  Victims are deleted in a fixed order,
+    so the depth tells which vertices are left, and a state is keyed by
+    (depth, rows).  The options at each victim v come as nothing, LC v,
+    then the pivot, each followed by ("DEL", v); since "DEL" sorts before
+    "LC", leaves are reached in lexicographic order of their ops sequences,
+    and the first accepting leaf carries the least one.
     """
 
     def __init__(self, G, keep, budget=None, connected_target=True):
@@ -187,61 +179,56 @@ class _ElimSearch:
 
     def run(self):
         """The least accepting (ops, payload), or None."""
-        self.memo = set()
-        alive = (1 << len(self.labels)) - 1
-        try:
-            return self._walk(self.rows0, alive, 0, [])
-        except RecursionError:
-            raise ResourceLimitError(
-                f"elimination search too deep to recurse over "
-                f"{len(self.victims)} victims",
-                count=self.nodes,
-            ) from None
-
-    def _options(self, rows, v):
-        yield [], rows
-        nb = rows[v]
-        if nb.bit_count() >= 2:
-            yield [("LC", self.labels[v])], _lc_rows(rows, v)
-        if nb:
-            u = (nb & -nb).bit_length() - 1
-            piv = _lc_rows(_lc_rows(_lc_rows(rows, v), u), v)
-            lv, lu = self.labels[v], self.labels[u]
-            yield [("LC", lv), ("LC", lu), ("LC", lv)], piv
-
-    def _walk(self, rows, alive, p, prefix):
-        # the kept vertices must share a component; complementation never
-        # splits or merges components and deletion never merges them
-        want = self.wmask
-        if self.connected_target and want and want & ~_reach(rows, want & -want, want):
-            return None
-        if p == len(self.victims):
-            got = self.accept(rows)
-            if got is None:
+        self.memo = memo = set()
+        want = self.wmask if self.connected_target else 0
+        victims = self.victims
+        levels = []  # levels[p]: [rows, options left, ops taken] at victims[p]
+        rows = self.rows0
+        while True:
+            p = len(levels)
+            # the kept vertices must share a component; complementation never
+            # splits or merges components and deletion never merges them
+            if want and want & ~_reach(rows, want & -want, want):
+                pass  # split: no leaf below accepts
+            elif p == len(victims):
+                got = self.accept(rows)
+                if got is not None:  # the ops taken are joined only here
+                    ops = tuple(op for v, (*_, taken) in zip(victims, levels)
+                                for op in (*taken, ("DEL", self.labels[v])))
+                    return ops + tuple(got[0]), got[1]
+            elif (p, rows) not in memo:
+                levels.append([rows, self._options(rows, victims[p]), None])
+            while levels:  # the next option at the deepest level with one left
+                step = next(levels[-1][1], None)
+                if step is not None:
+                    break
+                rows = levels.pop()[0]
+                memo.add((len(levels), rows))
+            else:
                 return None
-            extra, payload = got
-            return tuple(prefix) + tuple(extra), payload
-        key = (alive, rows)
-        if key in self.memo:
-            return None
-        v = self.victims[p]
-        vb = 1 << v
-        others = ~vb
-        label = self.labels[v]
-        for ops, nrows in self._options(rows, v):
             self.nodes += 1
             if self.budget is not None and self.nodes > self.budget:
                 raise ResourceLimitError(
                     f"elimination search exceeded {self.budget} steps",
                     count=self.nodes,
                 )
+            levels[-1][2], nrows = step
+            v = victims[len(levels) - 1]
+            others = ~(1 << v)
             drows = [r & others for r in nrows]
             drows[v] = 0
-            res = self._walk(tuple(drows), alive & others, p + 1, prefix + ops + [("DEL", label)])
-            if res is not None:
-                return res
-        self.memo.add(key)
-        return None
+            rows = tuple(drows)
+
+    def _options(self, rows, v):
+        yield (), rows
+        nb = rows[v]
+        if nb.bit_count() >= 2:
+            yield (("LC", self.labels[v]),), _lc_rows(rows, v)
+        if nb:
+            u = (nb & -nb).bit_length() - 1
+            piv = _lc_rows(_lc_rows(_lc_rows(rows, v), u), v)
+            lv, lu = self.labels[v], self.labels[u]
+            yield (("LC", lv), ("LC", lu), ("LC", lv)), piv
 
 
 def _make_star_accept(wmask, labels, k):

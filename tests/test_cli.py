@@ -20,6 +20,7 @@ from vmkit import (
     multigraph_from_word,
     canonical_tour,
     find_euler_tour,
+    k3_expand,
     parse_bundle,
     parse_graph,
     parse_subset,
@@ -171,21 +172,24 @@ def test_workers_and_budget_ranges(worked_file, f0_file, monkeypatch, capsys):
     assert "VMKIT_BUDGET must not be negative" in capsys.readouterr().err
 
 
-def test_large_cubic_graph_is_unsettled(files, tmp_path):
-    # a 600-cycle times K2: its Hamiltonian cycle search would recurse over
-    # 1,200 vertices, past the interpreter's recursion limit
+def test_large_cubic_graph_is_decided(files, tmp_path):
+    # a 600-cycle times K2: its Hamiltonian cycle search goes 1,200 vertices
+    # deep, past the default recursion limit
     n = 600
     rims = [(f"{s}{i:03d}", f"{s}{(i + 1) % n:03d}") for s in "ab" for i in range(n)]
     spokes = [(f"a{i:03d}", f"b{i:03d}") for i in range(n)]
     prism = SimpleGraph({u for u, _ in rims}, rims + spokes)
     path = files("prism1200.graph", serialize_graph(prism))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vmkit.__file__)))
-    for argv in (["ham", path], ["pipeline", path, "-o", str(tmp_path / "out")]):
+    least = [f"a{i:03d}" for i in range(n)] + [f"b{i:03d}" for i in reversed(range(n))]
+    out = tmp_path / "out"
+    for argv in (["ham", path], ["pipeline", path, "-o", str(out)]):
         proc = subprocess.run([sys.executable, "-m", "vmkit.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "unsettled: " in proc.stderr and "1200 vertices" in proc.stderr
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        if argv[0] == "ham":
+            assert proc.stdout == " ".join(least) + "\n"
+    assert (out / "ham_cycle.txt").read_text() == " ".join(least) + "\n"
 
 
 def test_usage_and_validation_errors(files, worked_file, f0_file, capsys):
@@ -216,6 +220,20 @@ def test_non_utf8_input_names_the_file(files, capsys):
         fh.write(b"simple 2\nab\n\xff\n")
     assert run_command(["ham", bad]) == 65
     assert capsys.readouterr().err == f"error: cannot read {bad}: not UTF-8 text\n"
+
+
+def test_output_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # files are read as UTF-8 whatever the locale, so they are written so too
+    K4 = complete_graph(["αβ", "γ", "δ", "ε"])
+    src = tmp_path / "k4.graph"
+    src.write_text(serialize_graph(K4), encoding="utf-8")
+    out = tmp_path / "f.graph"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vmkit.__file__)),
+               LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run([sys.executable, "-m", "vmkit.cli", "expand", str(src),
+                           "-o", str(out)], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert parse_graph(out.read_text(encoding="utf-8")) == k3_expand(K4)
 
 
 def test_write_failures(files, worked_file, capsys):

@@ -265,14 +265,17 @@ def test_only_quick_no_survivors_are_searched(workers, monkeypatch):
                                   17, 1, 13, 4, 21, 11, 23, 8, 18, 19, 6, 15)
 
 
-def test_deep_tour_walks_raise_resource_limit():
-    # a doubled 600-cycle has 1,200 edges; both walks recurse once per edge
+def test_deep_tour_walks_are_decided():
+    # a doubled 600-cycle has 1,200 edges, a walk deeper than the default
+    # recursion limit; both walks keep explicit stacks
     vs = [f"v{i:03d}" for i in range(600)]
     F = MultiGraph(vs, [(vs[i], vs[(i + 1) % 600]) for i in range(600)] * 2)
-    with pytest.raises(ResourceLimitError, match="1200 edges"):
-        soet_search(F, {"v000", "v001"})
-    with pytest.raises(ResourceLimitError, match="1200 edges"):
-        next(enumerate_euler_tours(F))
+    U = next(enumerate_euler_tours(F))
+    assert EulerianTour(F, U.vertex_seq, U.edge_seq) == U
+    cert = soet_search(F, {"v000", "v001"})
+    assert cert is not None
+    assert is_soet(cert.tour, cert.subset) == cert.visit_word
+    assert cert.subset == {"v000", "v001"}
 
 
 def test_consecutive_pairs_and_maximal_subwords():

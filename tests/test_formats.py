@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from vmkit import (
     Dow,
+    DowClass,
     MultiGraph,
     SimpleGraph,
     VmWitness,
+    alternance_graph,
     bundle_chain_for,
     canonical_tour,
     find_euler_tour,
@@ -234,4 +236,35 @@ def simple_graphs(draw, max_vertices=8):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(simple_graphs())
 def test_graph_parse_inverts_serialize(G):
+    assert parse_graph(serialize_graph(G)) == G
+
+
+# labels that can clash with the format: "#" starts a comment, "vertices" the
+# declaration line, "=" and "," separate labels in other formats
+RISKY_LABELS = st.one_of(st.text("ab#=,", min_size=1, max_size=3), st.just("vertices"))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(RISKY_LABELS, RISKY_LABELS), min_size=1, max_size=6))
+def test_accepted_graph_text_reads_back(pairs):
+    labels = {x for p in pairs for x in p}
+    text = f"multi {len(labels)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+    try:
+        G = parse_graph(text)
+    except ValueError:
+        return
+    assert parse_graph(serialize_graph(G)) == G
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(RISKY_LABELS, min_size=1, max_size=4, unique=True), st.randoms())
+def test_accepted_word_text_reads_back(letters, rnd):
+    seq = letters * 2
+    rnd.shuffle(seq)
+    try:
+        w = parse_word(" ".join(seq))
+    except ValueError:
+        return
+    assert parse_word(serialize_word(w)).letters == DowClass(w).canonical.letters
+    G = alternance_graph(w)
     assert parse_graph(serialize_graph(G)) == G

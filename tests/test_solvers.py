@@ -455,8 +455,14 @@ def test_witnesses_are_the_least_of_the_whole_tree():
     assert (stars, labeled) == (152, 3300)
 
 
-def test_deep_elimination_is_unknown():
+def test_deep_elimination_is_decided():
+    # 1,198 victims, a search deeper than the default recursion limit
     P = path_graph([f"v{i:04d}" for i in range(1200)])
-    d = labeled_vm_decide(P, path_graph(["v0000", "v0001"]))
-    assert d == Decision(
-        "unknown", None, "elimination search too deep to recurse over 1198 victims")
+    H = path_graph(["v0000", "v0001"])
+    d = labeled_vm_decide(P, H)
+    assert d.is_yes and len(d.witness.ops) == 1198
+    assert verify_vm_witness(P, H, d.witness)
+    K1 = SimpleGraph(["x"], [])
+    d = iso_vm_decide(P, K1)
+    assert d.is_yes and d.witness[0] == {"v0000"}
+    assert verify_vm_witness(P, K1, d.witness[1])
