@@ -60,17 +60,18 @@ def induced_word(U: EulerianTour) -> Dow:
 
 
 def _class_key(vertex_seq, edge_seq):
-    """Least (edge_seq, vertex_seq) pair over all rotations and reversal."""
-    L = len(edge_seq)
+    """Least (edge_seq, vertex_seq) pair over all rotations and reversal.
+
+    Edge ids are distinct, so in each direction the least rotation is the
+    one that starts at the least id.
+    """
     rvs = (vertex_seq[0],) + tuple(reversed(vertex_seq[1:]))
     res = tuple(reversed(edge_seq))
-    best = None
+    cands = []
     for seq_v, seq_e in ((vertex_seq, edge_seq), (rvs, res)):
-        for i in range(L):
-            cand = (seq_e[i:] + seq_e[:i], seq_v[i:] + seq_v[:i])
-            if best is None or cand < best:
-                best = cand
-    return best
+        i = seq_e.index(min(seq_e))
+        cands.append((seq_e[i:] + seq_e[:i], seq_v[i:] + seq_v[:i]))
+    return min(cands)
 
 
 def canonical_tour(U: EulerianTour) -> EulerianTour:

@@ -193,8 +193,9 @@ def reduce_starvm_to_isovm(G: SimpleGraph, k: int):
     """Map star vertex-minor search to a plain ISO-VERTEXMINOR instance."""
     if not 1 <= k <= len(G.vertices):
         raise ValueError(f"k must be between 1 and {len(G.vertices)}")
+    taken = set(G.vertices)
     stem = "h"
-    while any(f"{stem}{i}" in set(G.vertices) for i in range(k)):
+    while any(f"{stem}{i}" in taken for i in range(k)):
         stem += "_"
     labels = [f"{stem}{i}" for i in range(k)]
     H = SimpleGraph(labels, [(labels[0], x) for x in labels[1:]])

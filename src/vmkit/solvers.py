@@ -13,6 +13,10 @@ remaining neighbor.  That normal form is a standard fact of the local
 equivalence toolkit rather than something established here, so the test
 suite revalidates it against an unrestricted breadth-first oracle
 (vertex_minor_closure) on every small graph before it is trusted at size.
+
+One subset scan serves both isomorphic deciders: star vertex-minor search
+is ISO-VERTEXMINOR with the star on k vertices as the target, the paper's
+last reduction, so star_vm_decide hands its instance to iso_vm_decide.
 """
 
 from __future__ import annotations
@@ -231,68 +235,16 @@ class _ElimSearch:
             yield (("LC", lv), ("LC", lu), ("LC", lv)), piv
 
 
-def _make_star_accept(wmask, labels, k):
-    wbits = list(_bits(wmask))
-    least = wbits[0]
-
-    def accept(rows):
-        if all(rows[i] == wmask ^ (1 << i) for i in wbits):
-            if k >= 3:
-                # a complete survivor is one complementation away from a star
-                return (("LC", labels[least]),), least
-            return (), least
-        for c in wbits:
-            if rows[c] == wmask ^ (1 << c):
-                if all(rows[u] == 1 << c for u in wbits if u != c):
-                    return (), c
-        return None
-
-    return accept
-
-
-def _star_task(G, H, budget, subset):
-    eng = _ElimSearch(G, subset, budget=budget)
-    eng.accept = _make_star_accept(eng.wmask, eng.labels, len(H.vertices))
-    res = eng.run()
-    if res is None:
-        return None
-    ops, c = res
-    center = eng.labels[c]
-    leaves = sorted(set(subset) - {center})
-    iso = [(center, H.vertices[0])] + list(zip(leaves, H.vertices[1:]))
-    return ops, tuple(iso)
-
-
-def _decide_subsets(G, H, task, workers, within_component=True):
-    """Decision from a scan of the |V(H)|-subsets of G in lexicographic order.
-
-    With within_component, only subsets inside one component of G are
-    candidates.  The first YES payload (ops, iso) is replayed as a VmWitness.
-    """
-    subsets = combinations(G.vertices, len(H.vertices))
-    if within_component:
-        comps = connected_components(G)
-        subsets = (s for s in subsets if any(set(s) <= c for c in comps))
-    try:
-        found = scan_subsets(task, subsets, workers, G)
-    except ResourceLimitError as e:
-        return Decision("unknown", None, f"{e.count} subsets hit the budget")
-    if found is None:
-        return Decision("no", None, "exhausted all candidate subsets")
-    subset, (ops, iso) = found
-    w = _require_verified(G, H, VmWitness(tuple(ops), iso))
-    return Decision("yes", (subset, w), f"V' = {{{' '.join(sorted(subset))}}}")
-
-
 def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, workers=1) -> Decision:
     """Does some k-subset V' of V(G) carry a star on V' as a vertex-minor?
 
-    Acceptance at the leaves is classification of the survivor as a star or
-    a complete graph, which for k >= 3 is exactly membership in the local
-    complementation orbit of the star.  Subsets are scanned in lexicographic
-    order and the first accepting one is reported, with the least accepting
-    ops sequence of its elimination search, so every answer is canonical;
-    `deterministic` is accepted and ignored.
+    The paper's last reduction made literal: for k >= 2 this is
+    iso_vm_decide(G, H) with H the star on k vertices from
+    reduce_starvm_to_isovm.  The star's LC orbit is the k stars plus K_k,
+    so a survivor is accepted exactly when it is a star or complete, and
+    the least isomorphism maps the center to H's center and the sorted
+    leaves to the leaves in order.  k == 1 is answered directly, without
+    a budget; `deterministic` is accepted and ignored.
     """
     n = len(G.vertices)
     if not 1 <= k <= n:
@@ -303,8 +255,7 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
         ops = tuple(("DEL", u) for u in G.vertices if u != v)
         w = _require_verified(G, H, VmWitness(ops, ((v, H.vertices[0]),)))
         return Decision("yes", (frozenset((v,)), w), "single vertex")
-    task = partial(_star_task, G, H, budget)
-    return _decide_subsets(G, H, task, workers)
+    return iso_vm_decide(G, H, budget=budget, workers=workers)
 
 
 def _orbit_buckets(H, cap):
@@ -362,13 +313,16 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
                   workers=1, orbit_cap=DEFAULT_NODE_CAP) -> Decision:
     """Does G have a vertex-minor isomorphic to H?
 
-    Same elimination search as star_vm_decide; a leaf survivor S is accepted
-    when S is isomorphic to some member of the local complementation orbit
-    of H, computed once up front.  That is equivalent to S's own orbit
-    meeting the isomorphism class of H, because orbits are equivalence
-    classes.  If the orbit of H overflows orbit_cap the decision is UNKNOWN.
-    Like star_vm_decide it reports the first accepting subset with the least
-    accepting ops sequence; `deterministic` is accepted and ignored.
+    The |V(H)|-subsets of G are scanned in lexicographic order, only those
+    inside one component of G when H is connected.  Each gets the
+    elimination search, and a leaf survivor S is accepted when S is
+    isomorphic to some member of the local complementation orbit of H,
+    computed once up front.  That is equivalent to S's own orbit meeting
+    the isomorphism class of H, because orbits are equivalence classes.
+    The first accepting subset is reported with the least accepting ops
+    sequence, replayed as a VmWitness, so every answer is canonical.  If the
+    orbit of H overflows orbit_cap the decision is UNKNOWN; `deterministic`
+    is accepted and ignored.
     """
     if not H.vertices:
         raise ValueError("H must have at least one vertex")
@@ -378,9 +332,19 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
         buckets = _orbit_buckets(H, orbit_cap)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
-    task = partial(_iso_task, G, H, buckets, budget)
-    return _decide_subsets(G, H, task, workers,
-                           within_component=len(connected_components(H)) == 1)
+    subsets = combinations(G.vertices, len(H.vertices))
+    if len(connected_components(H)) == 1:
+        comps = connected_components(G)
+        subsets = (s for s in subsets if any(set(s) <= c for c in comps))
+    try:
+        found = scan_subsets(partial(_iso_task, G, H, buckets, budget), subsets, workers, G)
+    except ResourceLimitError as e:
+        return Decision("unknown", None, f"{e.count} subsets hit the budget")
+    if found is None:
+        return Decision("no", None, "exhausted all candidate subsets")
+    subset, (ops, iso) = found
+    w = _require_verified(G, H, VmWitness(tuple(ops), iso))
+    return Decision("yes", (subset, w), f"V' = {{{' '.join(sorted(subset))}}}")
 
 
 def labeled_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None,

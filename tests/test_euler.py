@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, islice
 
 import pytest
 
@@ -83,6 +84,30 @@ def test_canonical_tour_is_class_invariant():
     assert canonical_tour(rot) == C
     rev = EulerianTour(FX0, (vs[0],) + tuple(reversed(vs[1:])), tuple(reversed(es)))
     assert canonical_tour(rev) == C
+
+
+def _class_key_by_all_rotations(vertex_seq, edge_seq):
+    rvs = (vertex_seq[0],) + tuple(reversed(vertex_seq[1:]))
+    res = tuple(reversed(edge_seq))
+    return min((e[i:] + e[:i], v[i:] + v[:i])
+               for v, e in ((vertex_seq, edge_seq), (rvs, res)) for i in range(len(e)))
+
+
+def test_class_key_is_the_least_of_all_rotations():
+    rnd = random.Random(1)
+    bases = [F for n in range(1, 6) for F in all_four_regular_multigraphs(n)]
+    bases += [k3_expand(complete_graph("abcd")), k3_expand(prism())]
+    cases = 0
+    for F in bases:
+        for U in [find_euler_tour(F), *islice(enumerate_euler_tours(F), 30)]:
+            for _ in range(5):
+                i = rnd.randrange(F.n_edges)
+                vs, es = U.vertex_seq[i:] + U.vertex_seq[:i], U.edge_seq[i:] + U.edge_seq[:i]
+                if rnd.random() < 0.5:
+                    vs, es = (vs[0],) + tuple(reversed(vs[1:])), tuple(reversed(es))
+                assert euler._class_key(vs, es) == _class_key_by_all_rotations(vs, es)
+                cases += 1
+    assert cases > 3000
 
 
 def test_enumerate_tour_classes_two_vertex_bundle():

@@ -222,6 +222,38 @@ def test_bundle_chain_replay_and_tamper():
         verify_bundle_chain([])
 
 
+def test_bundle_chain_prefixes_verify():
+    chain = bundle_chain_for(complete_graph("abcd"))
+    for n in range(1, 5):
+        verify_bundle_chain(chain[:n])
+
+
+_MULTI_CUBIC = "multi 4\nab\nab\ncd\ncd\nac\nbd\n"
+
+
+@pytest.mark.parametrize("tamper, fragment", [
+    pytest.param(lambda c: c[1:], "must start with a cubham bundle", id="no-head"),
+    pytest.param(lambda c: [make_bundle("cubham", 5, [])],
+                 "must start with a cubham bundle", id="int-payload"),
+    pytest.param(lambda c: [make_bundle("cubham", {}, [])],
+                 "must start with a cubham bundle", id="empty-payload"),
+    pytest.param(lambda c: [make_bundle("cubham", {"graph": _MULTI_CUBIC}, [])],
+                 "multigraph", id="cubic-multigraph"),
+    pytest.param(lambda c: [c[0], dict(c[1], provenance=[5])],
+                 "provenance is not a list", id="int-provenance"),
+    pytest.param(lambda c: [c[0], "kind payload provenance"],
+                 "not a JSON object", id="string-bundle"),
+    pytest.param(lambda c: [c[0], dict(c[1], kind="starvm")],
+                 "starvm bundle stands where", id="kind-swapped"),
+    pytest.param(lambda c: c + [dict(c[3], provenance=[
+        {"source": payload_digest(c[3]["payload"])}])], "more than 4", id="fifth-bundle"),
+])
+def test_malformed_bundle_chains_raise_value_error(tamper, fragment):
+    chain = bundle_chain_for(complete_graph("abcd"))
+    with pytest.raises(ValueError, match=fragment):
+        verify_bundle_chain(tamper(chain))
+
+
 @st.composite
 def simple_graphs(draw, max_vertices=8):
     # single-character labels take the compact edge form, longer ones the

@@ -131,8 +131,7 @@ def _in_one_component(G, k):
 
 
 def _star_scan(G, k):
-    _, H = reduce_starvm_to_isovm(G, k)
-    return partial(solvers._star_task, G, H, None), _in_one_component(G, k)
+    return _iso_scan(G, reduce_starvm_to_isovm(G, k)[1])
 
 
 def _iso_scan(G, H):
