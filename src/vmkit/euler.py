@@ -477,53 +477,6 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     return SoetCertificate(U, Vp, is_soet(U, Vp))
 
 
-def consecutive_pairs(U: EulerianTour, vertex_subset):
-    """Unordered pairs of cyclically adjacent letters in the visit word."""
-    s = is_soet(U, vertex_subset)
-    if s is None:
-        raise ValueError("the tour is not semi-ordered over the subset")
-    k = len(s)
-    if k == 1:
-        return set()
-    return {frozenset((s[i], s[(i + 1) % k])) for i in range(k)}
-
-
-def maximal_subwords(U: EulerianTour, vertex_subset, u, v):
-    """The two maximal subwords strictly between u and v along the tour.
-
-    u and v must be consecutive in the visit word.  The tour then reads
-    cyclically as  .. u X v .. u Y v ..  with X and Y free of subset
-    vertices; the pair (X, Y) is returned as letter tuples, X being the gap
-    at the earlier transit in the tour's own reading order.  Either or both
-    may be empty.
-    """
-    Vp = frozenset(vertex_subset)
-    s = is_soet(U, Vp)
-    if s is None:
-        raise ValueError("the tour is not semi-ordered over the subset")
-    if frozenset((u, v)) not in consecutive_pairs(U, Vp):
-        raise ValueError(f"{u!r} and {v!r} are not consecutive in the visit word")
-    word = induced_word(U).letters
-    P = [i for i, x in enumerate(word) if x in Vp]
-    m = len(P)  # 2k positions
-    gaps = []
-    for j in range(m):
-        lo = P[j]
-        hi = P[(j + 1) % m]
-        if j + 1 < m:
-            gaps.append(tuple(word[lo + 1 : hi]))
-        else:
-            gaps.append(tuple(word[lo + 1 :] + word[:hi]))
-    pair = frozenset((u, v))
-    j = next(
-        i
-        for i in range(m)
-        if frozenset((word[P[i]], word[P[(i + 1) % m]])) == pair
-    )
-    k = m // 2
-    return gaps[j], gaps[(j + k) % m]
-
-
 def _soet_subset_task(F, budget, subset):
     return soet_search(F, subset, budget=budget)
 

@@ -14,10 +14,9 @@ import json
 from .euler import EulerianTour, canonical_tour, find_euler_tour
 from .graphs import MultiGraph, SimpleGraph
 from .reduction import (
-    k3_expand,
+    reduce_cubham_to_isosoet,
     reduce_isosoet_to_starvm,
     reduce_starvm_to_isovm,
-    require_cubic,
 )
 from .solvers import VmWitness
 from .words import Dow, DowClass
@@ -287,24 +286,24 @@ def parse_bundle(text: str) -> dict:
 
 
 def bundle_chain_for(R: SimpleGraph):
-    """The reduction chain for a cubic graph R as a list of four bundles.
+    """The reduction chain for a connected cubic graph R as four bundles.
 
     Each bundle's provenance records the step, its parameters, and the
     digest of the upstream payload.  verify_bundle_chain checks a chain by
     calling this again on its cubic graph and demanding equal bundles.
     """
-    require_cubic(R)
+    F, k = reduce_cubham_to_isosoet(R)
     b0 = make_bundle("cubham", {"graph": serialize_graph(R)}, [])
-    F, k = k3_expand(R), 2 * len(R.vertices)
     b1 = make_bundle(
         "isosoet",
         {"multigraph": serialize_graph(F), "k": k},
         [{"step": "k3_expand", "source": payload_digest(b0["payload"])}],
     )
     G, _ = reduce_isosoet_to_starvm(F, k)
+    gtext = serialize_graph(G)
     b2 = make_bundle(
         "starvm",
-        {"graph": serialize_graph(G), "k": k},
+        {"graph": gtext, "k": k},
         [
             {
                 "step": "euler_alternance",
@@ -316,7 +315,7 @@ def bundle_chain_for(R: SimpleGraph):
     _, H = reduce_starvm_to_isovm(G, k)
     b3 = make_bundle(
         "isovm",
-        {"graph": serialize_graph(G), "target": serialize_graph(H)},
+        {"graph": gtext, "target": serialize_graph(H)},
         [{"step": "star_to_iso", "source": payload_digest(b2["payload"]), "k": k}],
     )
     return [b0, b1, b2, b3]

@@ -215,15 +215,6 @@ class MultiGraph:
         self.__init__(vs, es)
 
 
-def induced_subgraph(G: SimpleGraph, W) -> SimpleGraph:
-    """Subgraph of G induced on the vertex set W."""
-    W = sorted(set(W))
-    missing = [w for w in W if not G.has_vertex(w)]
-    if missing:
-        raise ValueError(f"not a vertex of the graph: {missing[0]!r}")
-    return SimpleGraph._from_rows(tuple(W), _restrict(G.rows, [G._index[w] for w in W]))
-
-
 def _restrict(rows, keep):
     """Rows of the subgraph induced on the ascending positions keep."""
     new = {p: 1 << a for a, p in enumerate(keep)}

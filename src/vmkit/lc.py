@@ -44,17 +44,6 @@ def delete_vertex(G: SimpleGraph, v: str) -> SimpleGraph:
     return SimpleGraph._from_rows(G.vertices[:i] + G.vertices[i + 1 :], _restrict(G.rows, rest))
 
 
-def pivot(G: SimpleGraph, u: str, v: str) -> SimpleGraph:
-    """Pivot on the edge (u, v): tau_u tau_v tau_u.
-
-    Requires u and v adjacent; under that hypothesis the result equals the
-    pivot the other way round (tested, not assumed here).
-    """
-    if not G.has_edge(u, v):
-        raise ValueError(f"pivot needs an edge, {u!r}-{v!r} is not one")
-    return apply_lc_word(G, (u, v, u))
-
-
 def _orbit_words(G, node_cap, stop_at=None):
     """BFS over the LC orbit.
 

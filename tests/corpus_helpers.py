@@ -2,7 +2,7 @@
 
 from itertools import combinations, permutations
 
-from vmkit import Dow, DowClass, MultiGraph, SimpleGraph, connected_components
+from vmkit import Dow, DowClass, MultiGraph, SimpleGraph, connected_components, delete_vertex
 
 
 def worked_graph():
@@ -50,6 +50,13 @@ def prism():
 
 def k33():
     return SimpleGraph("abcdef", [(u, v) for u in "abc" for v in "def"])
+
+
+def induced(G, W):
+    """The subgraph of G induced on W, by deleting the other vertices one by one."""
+    for v in set(G.vertices) - set(W):
+        G = delete_vertex(G, v)
+    return G
 
 
 def all_labeled_graphs(labels):

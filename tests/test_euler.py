@@ -13,14 +13,12 @@ from vmkit import (
     SimpleGraph,
     SoetCertificate,
     canonical_tour,
-    consecutive_pairs,
     enumerate_euler_tours,
     find_euler_tour,
     induced_word,
     is_soet,
     iso_soet_decide,
     k3_expand,
-    maximal_subwords,
     multigraph_from_word,
     soet_search,
     tour_from_word,
@@ -301,19 +299,3 @@ def test_deep_tour_walks_are_decided():
     assert cert is not None
     assert is_soet(cert.tour, cert.subset) == cert.visit_word
     assert cert.subset == {"v000", "v001"}
-
-
-def test_consecutive_pairs_and_maximal_subwords():
-    U = tour_from_word(FX0, SOET_WORD)
-    Vp = frozenset("abcd")
-    assert consecutive_pairs(U, Vp) == {
-        frozenset("ab"),
-        frozenset("bc"),
-        frozenset("cd"),
-        frozenset("ad"),
-    }
-    assert maximal_subwords(U, Vp, "a", "b") == ((), ("e",))
-    assert maximal_subwords(U, Vp, "c", "d") == ((), ("e",))
-    assert maximal_subwords(U, Vp, "b", "c") == ((), ())
-    with pytest.raises(ValueError):
-        maximal_subwords(U, Vp, "a", "c")  # not consecutive

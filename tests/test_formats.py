@@ -229,6 +229,7 @@ def test_bundle_chain_prefixes_verify():
 
 
 _MULTI_CUBIC = "multi 4\nab\nab\ncd\ncd\nac\nbd\n"
+_TWO_K4 = SimpleGraph("abcdefgh", [*combinations("abcd", 2), *combinations("efgh", 2)])
 
 
 @pytest.mark.parametrize("tamper, fragment", [
@@ -239,6 +240,11 @@ _MULTI_CUBIC = "multi 4\nab\nab\ncd\ncd\nac\nbd\n"
                  "must start with a cubham bundle", id="empty-payload"),
     pytest.param(lambda c: [make_bundle("cubham", {"graph": _MULTI_CUBIC}, [])],
                  "multigraph", id="cubic-multigraph"),
+    pytest.param(lambda c: [make_bundle("cubham", {"graph": serialize_graph(_TWO_K4)}, [])],
+                 "must be connected", id="disconnected-cubic"),
+    # bundle_chain_for refuses the same graph before any chain exists
+    pytest.param(lambda c: bundle_chain_for(_TWO_K4), "must be connected",
+                 id="disconnected-cubic-build"),
     pytest.param(lambda c: [c[0], dict(c[1], provenance=[5])],
                  "provenance is not a list", id="int-provenance"),
     pytest.param(lambda c: [c[0], "kind payload provenance"],

@@ -10,7 +10,6 @@ from vmkit import (
     connected_components,
     delete_vertex,
     find_isomorphism,
-    induced_subgraph,
     is_regular,
     local_complement,
 )
@@ -87,13 +86,6 @@ def test_connected_components():
         frozenset("cd"),
         frozenset("e"),
     }
-
-
-def test_induced_subgraph():
-    G = complete_graph("abcd")
-    H = induced_subgraph(G, "abc")
-    assert H == complete_graph("abc")
-    assert induced_subgraph(G, ["a"]) == SimpleGraph("a", [])
 
 
 def test_find_isomorphism_basics():

@@ -11,7 +11,6 @@ from vmkit import (
     lc_orbit,
     lc_word_between,
     local_complement,
-    pivot,
 )
 from corpus_helpers import all_labeled_graphs, complete_graph, cycle_graph, star_graph
 
@@ -37,13 +36,7 @@ def test_pivot_is_symmetric_on_edges():
     # tau_u tau_v tau_u equals tau_v tau_u tau_v whenever uv is an edge
     for G in all_labeled_graphs("abcd"):
         for u, v in G.edges:
-            assert pivot(G, u, v) == pivot(G, v, u)
-
-
-def test_pivot_needs_an_edge():
-    G = SimpleGraph("abc", [("a", "b")])
-    with pytest.raises(ValueError):
-        pivot(G, "a", "c")
+            assert apply_lc_word(G, (u, v, u)) == apply_lc_word(G, (v, u, v))
 
 
 def test_apply_lc_word_names_bad_step():

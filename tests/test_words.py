@@ -10,13 +10,12 @@ from vmkit import (
     induced_subword,
     local_complement,
     delete_vertex,
-    induced_subgraph,
     mirror,
     multigraph_from_word,
     word_delete,
     word_local_complement,
 )
-from corpus_helpers import all_dow_classes, worked_graph
+from corpus_helpers import all_dow_classes, induced, worked_graph
 
 
 X0 = Dow.from_text("adcbaebced")
@@ -79,7 +78,7 @@ def test_word_delete_matches_graph_op():
 def test_induced_subword_matches_induced_subgraph():
     w = X0
     G = alternance_graph(w)
-    assert alternance_graph(induced_subword(w, set("abd"))) == induced_subgraph(G, "abd")
+    assert alternance_graph(induced_subword(w, set("abd"))) == induced(G, "abd")
     sub = induced_subword(w, set("abcd"))
     assert sub.letters == tuple("adcbabcd")
 
@@ -137,4 +136,4 @@ def test_word_operations_commute_with_alternance_graph(X, data):
         assert alternance_graph(word_delete(X, v)) == delete_vertex(G, v)
     keep = data.draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
     W = {v for v, k in zip(letters, keep) if k}
-    assert alternance_graph(induced_subword(X, W)) == induced_subgraph(G, W)
+    assert alternance_graph(induced_subword(X, W)) == induced(G, W)
