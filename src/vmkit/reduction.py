@@ -20,6 +20,13 @@ def require_cubic(R: SimpleGraph):
             raise ValueError(f"vertex {v!r} has degree {R.degree(v)}, expected 3")
 
 
+def require_connected_cubic(R: SimpleGraph):
+    """Raise ValueError unless R is a connected cubic graph, CUBHAM's input."""
+    require_cubic(R)
+    if len(connected_components(R)) > 1:
+        raise ValueError("the cubic graph must be connected")
+
+
 def validate_ham_cycle(R: SimpleGraph, cycle):
     """Raise ValueError unless cycle lists V(R) once around adjacent vertices."""
     cycle = tuple(cycle)
@@ -167,9 +174,7 @@ def extract_ham_from_soet(R: SimpleGraph, cert: SoetCertificate):
 
 def reduce_cubham_to_isosoet(R: SimpleGraph):
     """Map a connected cubic graph R to the ISO-SOET instance it decides."""
-    require_cubic(R)
-    if len(connected_components(R)) > 1:
-        raise ValueError("the cubic graph must be connected")
+    require_connected_cubic(R)
     return k3_expand(R), 2 * len(R.vertices)
 
 

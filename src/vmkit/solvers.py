@@ -28,16 +28,9 @@ from itertools import combinations
 from .errors import ResourceLimitError
 from .euler import enumerate_euler_tours, find_euler_tour, induced_word
 from .graphs import SimpleGraph, _bits, _reach, _restrict, connected_components, find_isomorphism
-from .lc import (
-    DEFAULT_NODE_CAP,
-    _lc_rows,
-    _orbit_words,
-    delete_vertex,
-    lc_word_between,
-    local_complement,
-)
+from .lc import DEFAULT_NODE_CAP, _orbit_words, delete_vertex, lc_word_between, local_complement
 from .parallel import scan_subsets
-from .reduction import reduce_starvm_to_isovm, require_cubic
+from .reduction import reduce_starvm_to_isovm, require_connected_cubic
 from .words import alternance_graph
 
 
@@ -150,9 +143,7 @@ def enumerate_hamiltonian_cycles(R: SimpleGraph):
 
 def hamiltonian_decide(R: SimpleGraph) -> Decision:
     """Exact Hamiltonicity for connected cubic graphs, least cycle on YES."""
-    require_cubic(R)
-    if len(connected_components(R)) > 1:
-        raise ValueError("the cubic graph must be connected")
+    require_connected_cubic(R)
     for cyc in enumerate_hamiltonian_cycles(R):
         return Decision("yes", cyc, "least Hamiltonian cycle")
     return Decision("no", None, "exhausted all vertex orders")
@@ -169,6 +160,13 @@ class _ElimSearch:
     then the pivot, each followed by ("DEL", v); since "DEL" sorts before
     "LC", leaves are reached in lexicographic order of their ops sequences,
     and the first accepting leaf carries the least one.
+
+    Each child is built in one pass over v's neighbours: deleting v clears
+    bit v in their rows alone, and LC v and the pivot change no other rows
+    but those of v and its least neighbour.  A state is looked up in the
+    memo before its component test, since every memo entry passed that
+    test.  A leaf gets no component test: when the target is connected, so
+    is every member of its LC orbit, and accept rejects a split survivor.
     """
 
     def __init__(self, G, keep, budget=None, connected_target=True):
@@ -186,23 +184,25 @@ class _ElimSearch:
         self.memo = memo = set()
         want = self.wmask if self.connected_target else 0
         victims = self.victims
-        levels = []  # levels[p]: [rows, options left, ops taken] at victims[p]
+        levels = []  # levels[p]: [rows, children left, ops taken] at victims[p]
         rows = self.rows0
         while True:
             p = len(levels)
-            # the kept vertices must share a component; complementation never
-            # splits or merges components and deletion never merges them
-            if want and want & ~_reach(rows, want & -want, want):
-                pass  # split: no leaf below accepts
-            elif p == len(victims):
+            if p == len(victims):  # a leaf: accept rejects a split survivor
                 got = self.accept(rows)
                 if got is not None:  # the ops taken are joined only here
                     ops = tuple(op for v, (*_, taken) in zip(victims, levels)
                                 for op in (*taken, ("DEL", self.labels[v])))
                     return ops + tuple(got[0]), got[1]
-            elif (p, rows) not in memo:
-                levels.append([rows, self._options(rows, victims[p]), None])
-            while levels:  # the next option at the deepest level with one left
+            elif (p, rows) in memo:
+                pass  # failed before, and passed the component test then
+            # the kept vertices must share a component; complementation never
+            # splits or merges components and deletion never merges them
+            elif want and want & ~_reach(rows, want & -want, want):
+                pass  # split: no leaf below accepts
+            else:
+                levels.append([rows, iter(self._options(rows, victims[p])), None])
+            while levels:  # the next child at the deepest level with one left
                 step = next(levels[-1][1], None)
                 if step is not None:
                     break
@@ -216,23 +216,50 @@ class _ElimSearch:
                     f"elimination search exceeded {self.budget} steps",
                     count=self.nodes,
                 )
-            levels[-1][2], nrows = step
-            v = victims[len(levels) - 1]
-            others = ~(1 << v)
-            drows = [r & others for r in nrows]
-            drows[v] = 0
-            rows = tuple(drows)
+            levels[-1][2], rows = step
 
     def _options(self, rows, v):
-        yield (), rows
+        """[(ops, rows after ops and ("DEL", v))] for each option at v."""
         nb = rows[v]
-        if nb.bit_count() >= 2:
-            yield (("LC", self.labels[v]),), _lc_rows(rows, v)
-        if nb:
-            u = (nb & -nb).bit_length() - 1
-            piv = _lc_rows(_lc_rows(_lc_rows(rows, v), u), v)
-            lv, lu = self.labels[v], self.labels[u]
-            yield (("LC", lv), ("LC", lu), ("LC", lv)), piv
+        bv = 1 << v
+        out = list(rows)
+        out[v] = 0
+        rest = nb
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            out[b.bit_length() - 1] ^= bv
+        children = [((), tuple(out))]
+        if not nb:
+            return children
+        lv = self.labels[v]
+        if nb.bit_count() >= 2:  # LC v toggles N(v) in each neighbour's row
+            out = list(rows)
+            out[v] = 0
+            m = nb | bv
+            rest = nb
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                out[b.bit_length() - 1] ^= m ^ b
+            children.append(((("LC", lv),), tuple(out)))
+        # LC v, LC u, LC v is the pivot on uv with u and v swapped (Oum 2005):
+        # it toggles the pairs across A = Nu - Nv, B = Nv - Nu and C = Nu & Nv,
+        # and u takes v's neighbours
+        bu = nb & -nb
+        u = bu.bit_length() - 1
+        nu, nv = rows[u] ^ bv, nb ^ bu
+        a, b, c = nu & ~nv, nv & ~nu, nu & nv
+        out = list(rows)
+        out[v] = 0
+        out[u] = nv
+        for rest, flip in ((a, b | c | bu), (b, a | c | bu | bv), (c, a | b | bv)):
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                out[x.bit_length() - 1] ^= flip
+        children.append(((("LC", lv), ("LC", self.labels[u]), ("LC", lv)), tuple(out)))
+        return children
 
 
 def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, workers=1) -> Decision:
@@ -274,17 +301,20 @@ def _orbit_buckets(H, cap):
 def _make_iso_accept(wmask, labels, hvertices, buckets):
     wbits = list(_bits(wmask))
     wlabels = tuple(labels[i] for i in wbits)
+    # at a leaf every victim row is 0, so a leaf's sorted degrees are the
+    # survivor's after len(labels) - len(hvertices) zeros
+    pad = (0,) * (len(labels) - len(hvertices))
+    buckets = {pad + degrees: bucket for degrees, bucket in buckets.items()}
     cache = {}
 
     def accept(rows):
         # isomorphic graphs share their degree sequence, so only the
         # members in the survivor's bucket can match it
-        bucket = buckets.get(tuple(sorted(rows[i].bit_count() for i in wbits)))
+        bucket = buckets.get(tuple(sorted(map(int.bit_count, rows))))
         if bucket is None:
             return None
-        key = tuple(rows[i] for i in wbits)
-        if key in cache:
-            return cache[key]
+        if rows in cache:
+            return cache[rows]
         S = SimpleGraph._from_rows(wlabels, _restrict(rows, wbits))
         res = None
         for mrows, word in bucket:
@@ -296,7 +326,7 @@ def _make_iso_accept(wmask, labels, hvertices, buckets):
             back = tuple(("LC", inv[x]) for x in reversed(word))
             res = (back, tuple(psi.items()))
             break
-        cache[key] = res
+        cache[rows] = res
         return res
 
     return accept

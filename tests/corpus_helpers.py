@@ -39,6 +39,11 @@ def petersen():
     return SimpleGraph(outer + inner, edges)
 
 
+def wheel5():
+    rim = ["w1", "w2", "w3", "w4", "w5"]
+    return SimpleGraph(["w0"] + rim, [("w0", x) for x in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
 def prism():
     return SimpleGraph(
         "abcdef",

@@ -30,6 +30,7 @@ from corpus_helpers import (
     cycle_graph,
     path_graph,
     petersen,
+    wheel5,
 )
 
 # 50 items: blocks of 16 at one worker and of 32 at two, so every scan below
@@ -176,11 +177,6 @@ def test_pruned_scans_equal_plain_scans_on_k4(workers):
     _check_against_plain_scans(F, _circle(F), workers, soet_ks=range(5, 13))
 
 
-def _wheel5():
-    rim = ["w1", "w2", "w3", "w4", "w5"]
-    return SimpleGraph(["w0"] + rim, [("w0", x) for x in rim] + list(zip(rim, rim[1:] + rim[:1])))
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_pruned_scans_on_symmetric_graphs(workers):
     # K12 and the edgeless graph on 12 vertices have far more automorphisms
@@ -223,7 +219,7 @@ def _searched(tmp_path, scan, graph, workers):
 def test_pruned_scans_search_the_same_subsets_at_every_worker_count(tmp_path):
     F = k3_expand(complete_graph("abcd"))
     G = _circle(F)
-    W5 = _wheel5()
+    W5 = wheel5()
     # (searched, candidates up to the first YES or all of them)
     for graph, scan, counts in [(F, _soet_scan(F, 7), (10, 20)),
                                 (G, _star_scan(G, 6), (66, 91)),

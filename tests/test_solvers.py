@@ -1,11 +1,12 @@
 """Decider tests: witness replay, closure agreement, determinism, budgets."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vmkit.solvers as solvers
+from vmkit.lc import _lc_rows
 
 from vmkit import (
     Decision,
@@ -45,6 +46,7 @@ from corpus_helpers import (
     petersen,
     prism,
     star_graph,
+    wheel5,
 )
 
 C5 = cycle_graph("abcde")
@@ -236,6 +238,49 @@ def test_labeled_decide_agrees_with_closure_on_six_vertices(G, data):
             assert verify_vm_witness(G, H, d.witness)
 
 
+def _deleted(rows, v):
+    """The reference deletion: v's row cleared and v masked out of every row."""
+    return tuple(0 if i == v else r & ~(1 << v) for i, r in enumerate(rows))
+
+
+def _moved(rows, perm):
+    """The same graph's rows with position x moved to perm[x]."""
+    out = [0] * len(rows)
+    for x, r in enumerate(rows):
+        out[perm[x]] = sum(1 << perm[j] for j in range(len(rows)) if r >> j & 1)
+    return tuple(out)
+
+
+def _pivot_child(rows, v):
+    nb = rows[v]
+    u = (nb & -nb).bit_length() - 1
+    return _deleted(_lc_rows(_lc_rows(_lc_rows(rows, v), u), v), v)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: labeled_graphs([f"v{i:02d}" for i in range(n)])))
+def test_one_pass_children_match_complement_then_delete(G):
+    eng = solvers._ElimSearch(G, ())
+    rows = G.rows
+    for v, lv in enumerate(G.vertices):
+        nb = rows[v]
+        want = [((), _deleted(rows, v))]
+        if nb.bit_count() >= 2:
+            want.append(((("LC", lv),), _deleted(_lc_rows(rows, v), v)))
+        if nb:
+            lu = G.vertices[(nb & -nb).bit_length() - 1]
+            want.append(((("LC", lv), ("LC", lu), ("LC", lv)), _pivot_child(rows, v)))
+        assert eng._options(rows, v) == want, (G, lv)
+    # the pivot takes v's least neighbour, so every edge uv gets its turn
+    # with u swapped into position 0
+    for v, u in permutations(range(len(rows)), 2):
+        if rows[v] >> u & 1:
+            perm = list(range(len(rows)))
+            perm[0], perm[u] = u, 0
+            moved = _moved(rows, perm)
+            assert eng._options(moved, perm[v])[-1][1] == _pivot_child(moved, perm[v])
+
+
 def test_closure_cap():
     with pytest.raises(ResourceLimitError):
         vertex_minor_closure(worked_graph(), node_cap=5)
@@ -312,6 +357,29 @@ def test_iso_decide_witnesses_are_pinned(make_g, H, subset, ops, iso,
     d = iso_vm_decide(make_g(), H, deterministic=deterministic, workers=workers)
     detail = f"V' = {{{' '.join(sorted(subset))}}}"
     assert d == Decision("yes", (subset, VmWitness(ops, iso)), detail)
+
+
+def test_elimination_tree_is_pinned(monkeypatch):
+    # a kernel edit may change the search tree while the witnesses hold;
+    # (nodes, memo states, runs) summed over each decision's searches pin it
+    run = solvers._ElimSearch.run
+    total = [0, 0, 0]
+
+    def counted(self):
+        try:
+            return run(self)
+        finally:
+            total[0] += self.nodes
+            total[1] += len(self.memo)
+            total[2] += 1
+
+    monkeypatch.setattr(solvers._ElimSearch, "run", counted)
+    G = _circle_of_k4_expansion()
+    for decide, want in ((lambda: star_vm_decide(G, 8), [3156, 1223, 88]),
+                         (lambda: iso_vm_decide(G, wheel5()), [27657, 10679, 190])):
+        total[:] = [0, 0, 0]
+        decide()
+        assert total == want
 
 
 def test_oracle_matches_labeled_elimination():
