@@ -304,21 +304,17 @@ def cmd_pipeline(args):
     except OSError as e:
         raise _WriteError(f"cannot write {outdir}: {e.strerror}") from None
     names = ("01_cubham.json", "02_isosoet.json", "03_starvm.json", "04_isovm.json")
-    written = []
-    for name, b in zip(names, chain):
-        path = os.path.join(outdir, name)
-        _write(path, serialize_bundle(b))
-        written.append(path)
-    _write(os.path.join(outdir, "expected.txt"), dec.status + "\n")
-    written.append(os.path.join(outdir, "expected.txt"))
+    files = {name: serialize_bundle(b) for name, b in zip(names, chain)}
+    files["expected.txt"] = dec.status + "\n"
     if dec.is_yes:
         cycle = dec.witness
-        _write(os.path.join(outdir, "ham_cycle.txt"), " ".join(cycle) + "\n")
-        written.append(os.path.join(outdir, "ham_cycle.txt"))
+        files["ham_cycle.txt"] = " ".join(cycle) + "\n"
         cert = build_soet_from_ham(R, cycle)
-        cert_text = f"subset {serialize_subset(cert.subset)}\n" + serialize_tour(cert.tour)
-        _write(os.path.join(outdir, "soet_cert.txt"), cert_text)
-        written.append(os.path.join(outdir, "soet_cert.txt"))
+        files["soet_cert.txt"] = (f"subset {serialize_subset(cert.subset)}\n"
+                                  + serialize_tour(cert.tour))
+    written = [os.path.join(outdir, name) for name in files]
+    for path, text in zip(written, files.values()):
+        _write(path, text)
     if args.format == "json":
         obj = {"status": dec.status, "files": written}
         sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -327,21 +323,6 @@ def cmd_pipeline(args):
             print(f"wrote {path}")
         print(f"expected: {dec.status}")
     return _EXIT[dec.status]
-
-
-_HANDLERS = {
-    "expand": cmd_expand,
-    "euler": cmd_euler,
-    "alternance": cmd_alternance,
-    "soet-solve": cmd_soet_solve,
-    "soet-verify": cmd_soet_verify,
-    "vm-solve": cmd_vm_solve,
-    "vm-solve-star": cmd_vm_solve_star,
-    "vm-verify": cmd_vm_verify,
-    "ham": cmd_ham,
-    "orbit": cmd_orbit,
-    "pipeline": cmd_pipeline,
-}
 
 
 def _add_common(sub, solver=False):
@@ -357,57 +338,62 @@ def build_parser():
     p = _Parser(prog="vmkit", description="vertex-minor toolkit")
     sp = p.add_subparsers(dest="cmd", required=True)
 
-    s = sp.add_parser("expand", help="cubic graph to its triangle expansion")
+    def command(name, run, help):
+        s = sp.add_parser(name, help=help)
+        s.set_defaults(run=run)
+        return s
+
+    s = command("expand", cmd_expand, "cubic graph to its triangle expansion")
     s.add_argument("graph")
     _add_common(s)
 
-    s = sp.add_parser("euler", help="Eulerian tour and word of a multigraph")
+    s = command("euler", cmd_euler, "Eulerian tour and word of a multigraph")
     s.add_argument("multigraph")
     _add_common(s)
 
-    s = sp.add_parser("alternance", help="alternance graph of a word")
+    s = command("alternance", cmd_alternance, "alternance graph of a word")
     s.add_argument("word")
     _add_common(s)
 
-    s = sp.add_parser("soet-solve", help="find a subset admitting a semi-ordered tour")
+    s = command("soet-solve", cmd_soet_solve, "find a subset admitting a semi-ordered tour")
     s.add_argument("multigraph")
     s.add_argument("k", type=int)
     _add_common(s, solver=True)
 
-    s = sp.add_parser("soet-verify", help="check a tour, word or certificate file")
+    s = command("soet-verify", cmd_soet_verify, "check a tour, word or certificate file")
     s.add_argument("multigraph")
     s.add_argument("tourfile")
     s.add_argument("subset")
     _add_common(s)
 
-    s = sp.add_parser("vm-solve", help="vertex-minor isomorphic to a target")
+    s = command("vm-solve", cmd_vm_solve, "vertex-minor isomorphic to a target")
     s.add_argument("graph")
     s.add_argument("target")
     s.add_argument("--limit", type=int, default=DEFAULT_NODE_CAP, help="orbit state cap")
     _add_common(s, solver=True)
 
-    s = sp.add_parser("vm-solve-star", help="star vertex-minor on k vertices")
+    s = command("vm-solve-star", cmd_vm_solve_star, "star vertex-minor on k vertices")
     s.add_argument("graph")
     s.add_argument("k", type=int)
     s.add_argument("--target", help="also write the target star graph here")
     _add_common(s, solver=True)
 
-    s = sp.add_parser("vm-verify", help="replay a witness against graph and target")
+    s = command("vm-verify", cmd_vm_verify, "replay a witness against graph and target")
     s.add_argument("graph")
     s.add_argument("target")
     s.add_argument("witness")
     _add_common(s)
 
-    s = sp.add_parser("ham", help="exact Hamiltonicity of a cubic graph")
+    s = command("ham", cmd_ham, "exact Hamiltonicity of a cubic graph")
     s.add_argument("graph")
     _add_common(s)
 
-    s = sp.add_parser("orbit", help="local complementation orbit of a graph")
+    s = command("orbit", cmd_orbit, "local complementation orbit of a graph")
     s.add_argument("graph")
     s.add_argument("--limit", type=int, default=DEFAULT_NODE_CAP, help="orbit state cap")
     _add_common(s)
 
-    s = sp.add_parser("pipeline", help="full reduction chain with bundles and certs")
+    s = command("pipeline", cmd_pipeline, "full reduction chain with bundles and certs")
     s.add_argument("graph")
     _add_common(s)
 
@@ -418,7 +404,7 @@ def run_command(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_solver_args(args)
-        return _HANDLERS[args.cmd](args)
+        return args.run(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64

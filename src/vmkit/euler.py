@@ -92,6 +92,27 @@ def _check_eulerian_preconditions(F: MultiGraph):
         raise ValueError(f"multigraph is disconnected: no tour reaches {stray!r}")
 
 
+def _require_isosoet(F: MultiGraph, k: int):
+    """Raise ValueError unless (F, k) is an ISO-SOET instance."""
+    if not is_regular(F, 4):
+        raise ValueError("ISO-SOET needs a 4-regular multigraph")
+    _check_eulerian_preconditions(F)
+    n = len(F.vertices)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be between 1 and {n}")
+
+
+def _require_subset(F: MultiGraph, vertex_subset) -> frozenset:
+    """vertex_subset as a frozenset, checked to be a nonempty subset of V(F)."""
+    Vp = frozenset(vertex_subset)
+    if not Vp:
+        raise ValueError("the vertex subset must be nonempty")
+    missing = sorted(v for v in Vp if not F.has_vertex(v))
+    if missing:
+        raise ValueError(f"not a vertex of the multigraph: {missing[0]!r}")
+    return Vp
+
+
 def find_euler_tour(F: MultiGraph) -> EulerianTour:
     """An Eulerian tour, by Hierholzer's splicing method.
 
@@ -225,12 +246,7 @@ def is_soet(U: EulerianTour, vertex_subset):
     vertex_subset must be a nonempty subset of the base's vertices, each of
     which must be visited exactly twice by the tour.
     """
-    Vp = frozenset(vertex_subset)
-    if not Vp:
-        raise ValueError("the vertex subset must be nonempty")
-    missing = sorted(v for v in Vp if not U.base.has_vertex(v))
-    if missing:
-        raise ValueError(f"not a vertex of the base multigraph: {missing[0]!r}")
+    Vp = _require_subset(U.base, vertex_subset)
     # induced_word already guarantees every vertex is visited exactly twice
     word = induced_word(U)
     sub = tuple(x for x in word.letters if x in Vp)
@@ -257,16 +273,6 @@ class SoetCertificate:
             raise ValueError("the tour is not semi-ordered over the subset")
         if s != self.visit_word:
             raise ValueError(f"visit word mismatch: tour reads {s!r}")
-
-
-def _soet_support(F, Vp):
-    """Distinct neighbors inside V' of each V' vertex, loops left out."""
-    adj = {v: set() for v in Vp}
-    for a, b in F.edges:
-        if a != b and a in Vp and b in Vp:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
 
 
 def _soet_quick_no(F, Vp):
@@ -342,22 +348,16 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     both walks together; exceeding it raises ResourceLimitError, leaving
     the question open.
     """
-    Vp = frozenset(vertex_subset)
-    if not Vp:
-        raise ValueError("the vertex subset must be nonempty")
-    missing = sorted(v for v in Vp if not F.has_vertex(v))
-    if missing:
-        raise ValueError(f"not a vertex of the multigraph: {missing[0]!r}")
-    if not is_regular(F, 4):
-        raise ValueError("SOET search needs a 4-regular multigraph")
-    _check_eulerian_preconditions(F)
+    Vp = _require_subset(F, vertex_subset)
     k = len(Vp)
+    _require_isosoet(F, k)
     if _soet_quick_no(F, Vp):
         return None
 
-    req = None
+    req = None  # the distinct neighbours inside V' of each V' vertex
     if k >= 3:
-        req = {v: frozenset(ns) for v, ns in _soet_support(F, Vp).items()}
+        S = F.simple_support()
+        req = {v: S.neighbors(v) & Vp for v in Vp}
 
     L = F.n_edges
     ends = F.edges
@@ -389,7 +389,8 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
 
     def rest_connected(cur):
         prev = vseq[-2]
-        return prev == cur or not free[prev] or reaches(cur, {prev}, ())
+        return (prev == cur or all(used[e] for e, _ in nbrs[prev])
+                or reaches(cur, {prev}, ()))
 
     def gap_ok(cur):
         # can the next forced V' arrival be reached without another V' visit
@@ -429,10 +430,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
                     )
                 if nxt in Vp and not admissible(nxt):
                     continue
-                cur = vseq[-1]
                 used[eid] = True
-                free[cur] -= 1
-                free[nxt] -= 1
                 eseq.append(eid)
                 vseq.append(nxt)
                 if nxt in Vp:
@@ -452,19 +450,15 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
                     return None
                 eid = eseq.pop()
                 nxt = vseq.pop()
-                cur = vseq[-1]
                 if nxt in Vp:
                     visits.pop()
                     if len(visits) < k:
                         firstseen.discard(nxt)
-                free[cur] += 1
-                free[nxt] += 1
                 used[eid] = False
 
     hits = []
     for anchor in dict.fromkeys(ends[0]):
         used = [False] * L + [True]
-        free = {v: 4 for v in F.vertices}  # unused edge ends at each vertex
         vseq = [anchor]
         eseq = []
         visits = []
@@ -494,12 +488,7 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     _soet_quick_no rejects are answered in this process and never reach the
     scan.
     """
-    if not is_regular(F, 4):
-        raise ValueError("ISO-SOET needs a 4-regular multigraph")
-    _check_eulerian_preconditions(F)
-    n = len(F.vertices)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and {n}")
+    _require_isosoet(F, k)
     task = partial(_soet_subset_task, F, budget)
     survivors = (s for s in combinations(F.vertices, k)
                  if not _soet_quick_no(F, frozenset(s)))

@@ -172,11 +172,7 @@ def _scan_block(settle, block, past, workers):
                 run.append(i)
             else:
                 past.pending.discard(block[i][0])
-        subsets = [block[i][1] for i in run]
-        if _POOL is None or not subsets:
-            results = map(settle, subsets)
-        else:
-            results = pmap(settle, subsets, workers)
+        results = pmap(settle, [block[i][1] for i in run], workers)
         for i, res in zip(run, results):
             m = block[i][0]
             past.pending.discard(m)

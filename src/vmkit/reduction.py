@@ -9,8 +9,9 @@ a Hamiltonian cycle lifts to an explicit SOET certificate, and a SOET
 certificate of the right size collapses back to a Hamiltonian cycle.
 """
 
-from .euler import SoetCertificate, find_euler_tour, induced_word, is_soet, tour_from_word
-from .graphs import MultiGraph, SimpleGraph, connected_components, is_regular
+from .euler import (SoetCertificate, _require_isosoet, find_euler_tour, induced_word, is_soet,
+                    tour_from_word)
+from .graphs import MultiGraph, SimpleGraph, connected_components
 from .words import Dow, alternance_graph
 
 
@@ -106,11 +107,10 @@ def build_soet_from_ham(R: SimpleGraph, cycle) -> SoetCertificate:
     pair comes up.  Concatenated they traverse every edge exactly once and
     visit the 2k cycle-facing ports twice in the same order.
     """
-    require_cubic(R)
+    lam = k3_expand(R)
     validate_ham_cycle(R, cycle)
     cycle = tuple(cycle)
     k = len(cycle)
-    lam = k3_expand(R)
 
     def third(i):
         x = cycle[i]
@@ -185,11 +185,7 @@ def reduce_isosoet_to_starvm(F: MultiGraph, k: int):
     over some k-subset exactly when the tour's alternance graph has a star on
     k vertices as a vertex-minor.
     """
-    if not is_regular(F, 4):
-        raise ValueError("ISO-SOET needs a 4-regular multigraph")
-    n = len(F.vertices)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and {n}")
+    _require_isosoet(F, k)
     G = alternance_graph(induced_word(find_euler_tour(F)))
     return G, k
 

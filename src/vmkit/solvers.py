@@ -273,9 +273,6 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
     leaves to the leaves in order.  k == 1 is answered directly, without
     a budget; `deterministic` is accepted and ignored.
     """
-    n = len(G.vertices)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be between 1 and {n}")
     _, H = reduce_starvm_to_isovm(G, k)
     if k == 1:
         v = G.vertices[0]
@@ -286,14 +283,14 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
 
 
 def _orbit_buckets(H, cap):
-    """H's LC orbit as {sorted degree sequence: [(rows, word), ...]}.
+    """H's LC orbit as {sorted nonzero degrees: [(rows, word), ...]}.
 
     Each member comes with the LC word reaching it from H; within a bucket
     the members keep the orbit's breadth-first order.
     """
     buckets = {}
     for rows, word in _orbit_words(H, cap).items():
-        degrees = tuple(sorted(r.bit_count() for r in rows))
+        degrees = tuple(sorted(filter(None, map(int.bit_count, rows))))
         buckets.setdefault(degrees, []).append((rows, word))
     return buckets
 
@@ -301,16 +298,13 @@ def _orbit_buckets(H, cap):
 def _make_iso_accept(wmask, labels, hvertices, buckets):
     wbits = list(_bits(wmask))
     wlabels = tuple(labels[i] for i in wbits)
-    # at a leaf every victim row is 0, so a leaf's sorted degrees are the
-    # survivor's after len(labels) - len(hvertices) zeros
-    pad = (0,) * (len(labels) - len(hvertices))
-    buckets = {pad + degrees: bucket for degrees, bucket in buckets.items()}
     cache = {}
 
     def accept(rows):
-        # isomorphic graphs share their degree sequence, so only the
-        # members in the survivor's bucket can match it
-        bucket = buckets.get(tuple(sorted(map(int.bit_count, rows))))
+        # isomorphic graphs share their degree sequence, so only the members
+        # in the survivor's bucket can match it; at a leaf the victim rows are
+        # 0 and |V(H)| vertices are kept, so the nonzero degrees tell it
+        bucket = buckets.get(tuple(sorted(filter(None, map(int.bit_count, rows)))))
         if bucket is None:
             return None
         if rows in cache:

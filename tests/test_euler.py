@@ -20,7 +20,10 @@ from vmkit import (
     iso_soet_decide,
     k3_expand,
     multigraph_from_word,
+    reduce_isosoet_to_starvm,
+    reduce_starvm_to_isovm,
     soet_search,
+    star_vm_decide,
     tour_from_word,
     vm_oracle_via_tours,
 )
@@ -181,6 +184,30 @@ def test_soet_search_validation_and_budget():
         soet_search(MultiGraph("ab", [("a", "b")] * 2), frozenset("a"))
     with pytest.raises(ResourceLimitError):
         soet_search(FX0, frozenset("abcd"), budget=3)
+
+
+def _message(call, *args):
+    with pytest.raises(ValueError) as err:
+        call(*args)
+    return str(err.value)
+
+
+def test_each_instance_contract_has_one_message():
+    two_regular = MultiGraph("ab", [("a", "b")] * 2)
+    disconnected = MultiGraph("abcd", [("a", "b")] * 4 + [("c", "d")] * 4)
+    for F in (two_regular, disconnected):
+        # k = 0 too: the multigraph's fault is reported before the bad k
+        msg = _message(iso_soet_decide, F, 0)
+        assert _message(reduce_isosoet_to_starvm, F, 0) == msg
+        assert _message(soet_search, F, frozenset("a")) == msg
+    for k in (0, len(FX0.vertices) + 1):
+        assert _message(iso_soet_decide, FX0, k) == _message(reduce_isosoet_to_starvm, FX0, k)
+    U = find_euler_tour(FX0)
+    for subset in (frozenset(), frozenset("az")):
+        assert _message(is_soet, U, subset) == _message(soet_search, FX0, subset)
+    G = prism()
+    for k in (0, len(G.vertices) + 1):
+        assert _message(star_vm_decide, G, k) == _message(reduce_starvm_to_isovm, G, k)
 
 
 def test_soet_search_agrees_with_tour_enumeration():
