@@ -2,7 +2,7 @@
 
 Exit codes carry the decision: 0 YES, 1 NO, 2 UNKNOWN or budget exhausted,
 64 usage errors, 65 validation errors, 71 worker processes that cannot be
-started, 73 output that cannot be written.
+started or that exit during a scan, 73 output that cannot be written.
 Artifacts go to stdout (or the -o target); human diagnostics go to stderr,
 so redirected output stays clean and re-parseable.
 """
@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import ResourceLimitError, WorkerStartError
+from .errors import ResourceLimitError, WorkerError
 from .euler import find_euler_tour, induced_word, is_soet, iso_soet_decide, tour_from_word
 from .formats import (
     bundle_chain_for,
@@ -414,7 +414,7 @@ def run_command(argv) -> int:
     except ResourceLimitError as e:
         print(f"unsettled: {e}", file=sys.stderr)
         return 2
-    except WorkerStartError as e:
+    except WorkerError as e:
         print(f"error: {e.strerror}", file=sys.stderr)
         return 71
     except _WriteError as e:

@@ -14,8 +14,13 @@ class ResourceLimitError(RuntimeError):
         self.count = count
 
 
-class WorkerStartError(OSError):
-    """The worker processes of a parallel scan could not be started.
+class WorkerError(OSError):
+    """The worker processes of a parallel scan could not be started, or one
+    of them exited during the scan.
 
-    strerror names the worker count and the operating system's reason.
+    strerror says which: the worker count and the operating system's reason,
+    or the worker's exit code.
     """
+
+    def __str__(self):
+        return self.strerror

@@ -317,6 +317,72 @@ def _soet_quick_no(F, Vp):
     return False
 
 
+def _soet_candidates(F, k):
+    """The k-subsets of V(F) that _soet_quick_no passes, in the order of
+    combinations(F.vertices, k).
+
+    Each of the filter's reasons stays once more vertices are added: a loop
+    inside V', a vertex with three support neighbours, and a cycle shorter
+    than k.  So a subset is built vertex by vertex, in ascending order, and
+    a branch is cut at its first violation.  While a partial subset passes,
+    its support is a set of disjoint paths; end[i] is the other end of the
+    path that ends at i.
+    """
+    V = F.vertices
+    if k >= 2:
+        loops = {a for a, b in F.edges if a == b}
+        V = [v for v in V if v not in loops]
+    if k < 3:
+        yield from combinations(V, k)
+        return
+    n = len(V)
+    pos = {v: i for i, v in enumerate(V)}
+    adj = [0] * n  # the support of F[V] over the positions of V
+    for a, b in F.edges:
+        if a in pos and b in pos:
+            adj[pos[a]] |= 1 << pos[b]
+            adj[pos[b]] |= 1 << pos[a]
+    end = list(range(n))
+    chosen, undo = [], []  # undo[d]: the (i, end[i]) pairs to restore
+    P = edges = 0  # the chosen positions, and the support edges among them
+    nxt = [0]  # nxt[d]: the next position to try at depth d
+    while nxt:
+        d, j = len(chosen), nxt[-1]
+        if j > n - k + d:  # too few positions left: take back the last one
+            nxt.pop()
+            if chosen:
+                i = chosen.pop()
+                P ^= 1 << i
+                edges -= (adj[i] & P).bit_count()
+                for x, e in undo.pop():
+                    end[x] = e
+            continue
+        nxt[-1] = j + 1
+        nb = adj[j] & P
+        ends = []  # j's neighbours in P, each a path end
+        while nb:
+            u = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
+            if len(ends) == 2 or (adj[u] & P).bit_count() == 2:
+                break  # a vertex with three support neighbours
+            ends.append(u)
+        else:
+            closes = len(ends) == 2 and end[ends[0]] == ends[1]
+            if d + 1 == k:
+                if not closes or edges == d - 1:  # a cycle must take all of V'
+                    yield tuple(V[i] for i in chosen) + (V[j],)
+            elif not closes:
+                # the ends of the path through j
+                x = end[ends[0]] if ends else j
+                y = end[ends[1]] if len(ends) == 2 else j
+                undo.append(((y, end[y]), (x, end[x])))
+                end[x], end[y] = y, x
+                chosen.append(j)
+                P |= 1 << j
+                edges += len(ends)
+                nxt.append(j + 1)
+
+
 def soet_search(F: MultiGraph, vertex_subset, budget=None):
     """A SOET of F over the given subset, or None when none exists.
 
@@ -485,11 +551,8 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     other subset says yes, the outcome is unsettled and ResourceLimitError
     is raised.  Every answer is canonical and does not depend on the worker
     count; `deterministic` is accepted and ignored.  Subsets that
-    _soet_quick_no rejects are answered in this process and never reach the
-    scan.
+    _soet_quick_no would reject are never generated (see _soet_candidates).
     """
     _require_isosoet(F, k)
     task = partial(_soet_subset_task, F, budget)
-    survivors = (s for s in combinations(F.vertices, k)
-                 if not _soet_quick_no(F, frozenset(s)))
-    return scan_subsets(task, survivors, workers, F)
+    return scan_subsets(task, _soet_candidates(F, k), workers, F)

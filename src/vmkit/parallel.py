@@ -1,11 +1,19 @@
-"""Order-preserving parallel map and the subset scan of the subset deciders.
+"""The subset scan of the subset deciders.
 
-A scan with at least two workers and two subsets forks one pool of worker
-processes and keeps it for the whole scan; pmap maps over that pool.  The
-deciders filter their subsets before the scan, so a subset that a cheap test
-rejects never leaves the parent process.  Results come back in input order
-regardless of worker count, so callers that scan results in order are
-schedule-independent by construction.
+scan_subsets reads its subsets in order and searches each one whose answer
+it does not already know.  At one worker it searches them one at a time in
+this process.  With N >= 2 workers and at least two subsets it forks N
+worker processes once per scan, each with its own pipe, sends them the
+subsets that are ready in chunks of CHUNK, and settles each result as it
+arrives, in whatever order the workers finish.  It reads at most WINDOW * N
+subsets past the oldest one still unsettled, so a long search holds up
+reading only once that many have piled up behind it, and it reads nothing
+more once a YES has come back.  A worker answers a chunk up to the chunk's
+first YES.  The answer is the first YES in input order, and the rule below
+depends only on what earlier subsets said, so a scan searches the same
+subsets, up to its answer, at every worker count.  The deciders filter
+their subsets before the scan, so a subset that a cheap test rejects never
+leaves the parent process.
 
 A scan over the vertex subsets of a graph skips the subsets that one of the
 graph's automorphisms maps onto an earlier subset that said NO: take
@@ -18,46 +26,47 @@ deciders' filters are invariant under automorphisms, so R is a candidate
 whenever S is.  The first YES never has an earlier NO image, so it is
 always searched and every answer and witness is the one of a scan without
 automorphisms.  With a budget the rule only turns an open subset into a
-settled NO.  The rule depends only on what earlier subsets said, so a scan
-searches the same subsets at every worker count.
+settled NO.  A subset whose earlier image is still being searched waits for
+that image's result; the subsets behind it do not.
 """
 
-from contextlib import nullcontext
 from functools import lru_cache, partial
 from itertools import chain, islice
 from operator import or_
 
-from .errors import ResourceLimitError, WorkerStartError
+from .errors import ResourceLimitError, WorkerError
 from .graphs import automorphisms
 
-_POOL = None  # the worker pool of the scan in progress, if it has one
-
-
-def pmap(fn, items, workers=1):
-    """[fn(x) for x in items], on the running scan's pool when it has one."""
-    items = list(items)
-    if _POOL is None or len(items) <= 1:
-        return [fn(x) for x in items]
-    chunksize = max(1, len(items) // (workers * 4))
-    return _POOL.map(fn, items, chunksize)
-
-
-def _fork_pool(workers):
-    import multiprocessing  # here, not at import time: most runs never fork
-
-    try:
-        return multiprocessing.get_context("fork").Pool(workers)
-    except OSError as e:
-        raise WorkerStartError(
-            e.errno, f"cannot start {workers} workers: {e.strerror}"
-        ) from e
+WINDOW = 16  # subsets read past the oldest unsettled one, per worker
+CHUNK = 8  # subsets per message to a worker
 
 
 def _settle(task, subset):
     try:
         return task(subset)
     except ResourceLimitError as e:
-        return e  # settled inside the worker, counted by the scan
+        return e  # an open subset, counted by the scan
+
+
+def _serve(settle, conn):
+    """A worker: answer each chunk of (position, subset) pairs with the
+    (position, result) pairs up to the chunk's first YES, or with the
+    exception a task raised."""
+    try:
+        while True:
+            chunk = conn.recv()
+            out = []
+            try:
+                for i, s in chunk:
+                    res = settle(s)
+                    out.append((i, res))
+                    if res is not None and not isinstance(res, ResourceLimitError):
+                        break  # the rest of the chunk comes after a YES
+            except Exception as e:  # raised again by the scan
+                out = e
+            conn.send(out)
+    except EOFError:  # the scan has closed its end
+        pass
 
 
 @lru_cache(maxsize=256)
@@ -89,20 +98,20 @@ def _image_tables(graph):
 class _Past:
     """What a scan knows of the subsets before the one in hand.
 
-    An earlier subset is pending while its block has not settled it, open
-    once its search ran out of budget, and otherwise settled: it said NO,
-    was skipped, or said YES, after which nothing later matters.  With a
-    graph, keys are bitmasks (see _image_tables); without one, subsets are
-    their own keys and nothing is skipped.  The automorphisms are listed
-    once a subset may have an earlier image that settles: at the first NO,
-    or at once when blocks are searched in parallel, since a block's
-    subsets may wait for one another.
+    An earlier subset is pending while the scan has read it and not yet
+    settled it, open once its search ran out of budget, and otherwise
+    settled: it said NO, was skipped, or said YES, after which nothing later
+    matters.  With a graph, keys are bitmasks (see _image_tables); without
+    one, subsets are their own keys and nothing is skipped.  The
+    automorphisms are listed once a subset may have an earlier image that
+    settles: at the first NO, or at once when workers search subsets side by
+    side, since a subset may then wait for an earlier one.
     """
 
     def __init__(self, graph, parallel):
         self.graph = graph
         self.open = set()
-        self.pending = set()  # the current block's unsettled keys
+        self.pending = set()
         self.live = parallel
         if graph is not None:
             n = len(graph.vertices)
@@ -114,8 +123,9 @@ class _Past:
         return sum(map(self.bit.__getitem__, subset))
 
     def verdict(self, m):
-        """True to search the subset with key m, False when an earlier image
-        settled it, None while an earlier image is pending."""
+        """For the subset with key m: True to search it, False when an
+        earlier image settled it, or else the list of its earlier images
+        still pending, to be passed to recheck once they settle."""
         if not self.live or self.graph is None:
             return True
         tables = _image_tables(self.graph)
@@ -125,104 +135,163 @@ class _Past:
         while rest:
             images = map(or_, images, tables[c][rest & 15])
             rest, c = rest >> 4, c + 1
-        wait = False
-        for r in images:
-            if r > m:  # an earlier subset
-                if r in self.pending:
-                    wait = True
-                elif r not in self.open:
-                    return False
-        return None if wait else True
+        return self.recheck(r for r in images if r > m)
+
+    def recheck(self, earlier):
+        """verdict's answer for a subset with these earlier images."""
+        waits = []
+        for r in earlier:
+            if r in self.pending:
+                waits.append(r)
+            elif r not in self.open:
+                return False
+        return waits or True
 
 
-def _read_block(subsets, past, size):
-    """The next block: [(key, subset)] in order, up to size of them ready to
-    search, with the subsets between them that wait; the subsets that an
-    earlier image settles are dropped as they are read."""
-    block, ready = [], 0
-    for s in subsets:
-        m = past.key(s)
-        v = past.verdict(m)
-        if v is False:
-            continue
-        block.append((m, s))
-        past.pending.add(m)
-        ready += bool(v)
-        if ready == size:
-            break
-    return block
+class _Crew:
+    """N forked workers, each on its own pipe, that settle chunks of subsets."""
 
+    def __init__(self, settle, workers):
+        import multiprocessing  # here, not at import time: most runs never fork
+        from multiprocessing.connection import wait
 
-def _scan_block(settle, block, past, workers):
-    """(subset, payload) of the block's first YES, or None.
+        self.wait = wait
+        self.procs = {}  # the scan's end of each worker's pipe -> the worker
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in range(workers):
+                mine, theirs = ctx.Pipe()
+                p = ctx.Process(target=_serve, args=(settle, theirs), daemon=True)
+                self.procs[mine] = p
+                try:
+                    p.start()
+                finally:
+                    theirs.close()
+        except OSError as e:
+            self.stop()
+            raise WorkerError(e.errno, f"cannot start {workers} workers: {e.strerror}") from e
+        self.idle = list(self.procs)
 
-    Rounds search the subsets whose earlier images are all open, skip those
-    with a settled one, and leave the rest for the next round; the block
-    ends once nothing before its first YES is left.
-    """
-    todo = range(len(block))
-    first = None  # (index, payload) of the first YES so far
-    while todo:
-        run, wait = [], []
-        for i in todo:
-            v = past.verdict(block[i][0])
-            if v is None:
-                wait.append(i)
-            elif v:
-                run.append(i)
-            else:
-                past.pending.discard(block[i][0])
-        results = pmap(settle, [block[i][1] for i in run], workers)
-        for i, res in zip(run, results):
-            m = block[i][0]
-            past.pending.discard(m)
-            if isinstance(res, ResourceLimitError):
-                past.open.add(m)
-                continue
-            past.live = True
-            if res is not None and (first is None or i < first[0]):
-                first = (i, res)
-        todo = [i for i in wait if first is None or i < first[0]]
-    return None if first is None else (frozenset(block[first[0]][1]), first[1])
+    def send(self, chunk):
+        """Hand a chunk of (position, subset) pairs to an idle worker."""
+        conn = self.idle.pop()
+        try:
+            conn.send(chunk)
+        except OSError:
+            self.died(conn)
+
+    def results(self):
+        """The (position, result) pairs of the chunks that come back next."""
+        out = []
+        for conn in self.wait([c for c in self.procs if c not in self.idle]):
+            try:
+                res = conn.recv()
+            except (EOFError, OSError):
+                self.died(conn)
+            if isinstance(res, Exception):
+                raise res
+            self.idle.append(conn)
+            out += res
+        return out
+
+    def died(self, conn):
+        p = self.procs[conn]
+        self.stop()
+        raise WorkerError(None, f"worker process exited with code {p.exitcode}")
+
+    def stop(self):
+        for p in self.procs.values():
+            if p.pid is not None:
+                p.terminate()
+        for conn, p in self.procs.items():
+            if p.pid is not None:
+                p.join()
+            conn.close()
 
 
 def scan_subsets(task, subsets, workers, graph=None):
     """(frozenset(subset), payload) of the first subset whose task says yes.
 
     task(subset) returns a payload or None, or raises ResourceLimitError when
-    its budget runs out.  subsets may be any iterable; it is read one block
-    at a time.  Blocks of 16 subsets per worker go through pmap in order, so
-    the outcome does not depend on the worker count; a scan without a pool
-    runs them one by one in this process, none after the first YES.  None
-    means every subset said no; if some ran out instead, ResourceLimitError
-    is raised with their number as its count.  A pool that cannot be forked
-    raises WorkerStartError.
+    its budget runs out.  subsets may be any iterable; it is read in order,
+    at most WINDOW subsets per worker past the oldest unsettled one, and not
+    past the first YES that comes back.  With two or more workers and two or
+    more subsets, N workers are forked for the scan and stopped when it
+    ends; otherwise each subset is searched in this process in turn, none
+    after the first YES.  The same subsets are searched, up to the answer,
+    at every worker count, so the answer does not depend on it.  None means
+    every subset said no; if some ran out instead, ResourceLimitError is
+    raised with their number as its count.  Workers that cannot be forked,
+    or a worker that exits during the scan, raise WorkerError; an exception
+    that a task raises in a worker is raised here.
 
     With a graph, subsets are vertex subsets of it of one size, in
-    lexicographic order; any subset that is not listed counts as NO, and a subset with an earlier
-    NO image under an automorphism of the graph is NO without a search (see
-    the module docstring).  Such subsets do not count toward a block; a
-    subset whose earlier image is pending in the same block waits for that
-    image's result.
+    lexicographic order; any subset that is not listed counts as NO, and a
+    subset with an earlier NO image under an automorphism of the graph is NO
+    without a search (see the module docstring).
     """
-    global _POOL
     subsets = iter(subsets)
-    chunk = max(1, workers) * 16
-    first = list(islice(subsets, chunk))
-    subsets = chain(first, subsets)
-    forks = workers >= 2 and len(first) >= 2
+    head = list(islice(subsets, 2))
+    subsets = chain(head, subsets)
+    forks = workers >= 2 and len(head) >= 2
     settle = partial(_settle, task)
     past = _Past(graph, forks)
-    with _fork_pool(workers) if forks else nullcontext() as pool:
-        _POOL = pool
-        try:
-            size = chunk if forks else 1
-            while block := _read_block(subsets, past, size):
-                found = _scan_block(settle, block, past, workers)
-                if found is not None:
-                    return found
-        finally:
-            _POOL = None
+    window = WINDOW * workers if forks else 1
+    todo = {}  # position -> [key, subset, state], unsettled
+    first = None  # (position, subset, payload) of the first YES so far
+    pos = 0  # the position of the next subset kept
+    crew = _Crew(settle, workers) if forks else None
+    try:
+        while True:
+            if first is None and pos - next(iter(todo), pos) < window:
+                for s in subsets:
+                    m = past.key(s)
+                    v = past.verdict(m)
+                    if v is False:
+                        continue
+                    todo[pos] = [m, s, v]
+                    past.pending.add(m)
+                    pos += 1
+                    if pos - next(iter(todo)) == window:
+                        break
+            ready = []  # positions to search, in order
+            for i, e in list(todo.items()):
+                if isinstance(e[2], list):
+                    e[2] = past.recheck(e[2])
+                    if e[2] is False:
+                        del todo[i]
+                        past.pending.discard(e[0])
+                if e[2] is True:
+                    ready.append(i)
+            if not todo:
+                break
+            if crew is None:
+                results = [(ready[0], settle(todo[ready[0]][1]))]
+            else:
+                while ready and crew.idle:
+                    chunk, ready = ready[:CHUNK], ready[CHUNK:]
+                    for i in chunk:
+                        todo[i][2] = "sent"
+                    crew.send([(i, todo[i][1]) for i in chunk])
+                results = crew.results()
+            for i, res in results:
+                e = todo.pop(i, None)
+                if e is None:
+                    continue  # past the first YES
+                past.pending.discard(e[0])
+                if isinstance(res, ResourceLimitError):
+                    past.open.add(e[0])
+                    continue
+                past.live = True
+                if res is not None:
+                    first = (i, e[1], res)
+                    for j in [j for j in todo if j > i]:
+                        del todo[j]
+    finally:
+        if crew is not None:
+            crew.stop()
+    if first is not None:
+        return frozenset(first[1]), first[2]
     if past.open:
         n = len(past.open)
         raise ResourceLimitError(f"{n} subset searches exhausted the budget", count=n)

@@ -2,7 +2,6 @@
 
 import errno
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -251,13 +250,36 @@ def test_worker_fork_failure(worked_file, f0_file, files, monkeypatch, capsys):
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
     k3 = files("k3.graph", serialize_graph(complete_graph("xyz")))
     for argv in (["vm-solve", worked_file, k3], ["vm-solve-star", worked_file, "4"],
                  ["soet-solve", f0_file, "3"]):
         assert run_command(argv + ["--workers", "2"]) == 71
         err = capsys.readouterr().err
         assert err == f"error: cannot start 2 workers: {os.strerror(errno.EAGAIN)}\n"
+
+
+def test_worker_exit_is_exit_71(worked_file):
+    # in a child interpreter with a timeout, so that a scan that waits for
+    # the dead worker fails here instead of hanging the suite
+    script = (
+        "import os, sys\n"
+        "from vmkit import solvers\n"
+        "from vmkit.cli import run_command\n"
+        "parent = os.getpid()\n"
+        "def exits(*args):\n"
+        "    if os.getpid() != parent:\n"
+        "        os._exit(3)\n"
+        "solvers._iso_task = exits\n"
+        "os.cpu_count = lambda: 2\n"
+        "sys.exit(run_command(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vmkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script, "vm-solve-star", worked_file, "4",
+                           "--workers", "2"], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 71, proc.stderr
+    assert proc.stderr == "error: worker process exited with code 3\n"
 
 
 def test_json_format(worked_file, capsys):

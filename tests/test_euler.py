@@ -28,7 +28,7 @@ from vmkit import (
     vm_oracle_via_tours,
 )
 
-from corpus_helpers import all_four_regular_multigraphs, complete_graph, prism
+from corpus_helpers import all_four_regular_multigraphs, complete_graph, k33, prism
 
 X0 = Dow.from_text("adcbaebced")
 FX0 = multigraph_from_word(X0)
@@ -313,6 +313,18 @@ def test_only_quick_no_survivors_are_searched(workers, monkeypatch):
                                "d^(c)", "c^(d)", "c^(a)", "a^(c)")
     assert cert.tour.edge_seq == (0, 12, 3, 5, 20, 9, 10, 22, 7, 14, 2, 16,
                                   17, 1, 13, 4, 21, 11, 23, 8, 18, 19, 6, 15)
+
+
+def test_candidates_are_the_quick_no_survivors_in_order():
+    # iso_soet_decide's pruned generator against the filter it replaces
+    corpus = [F for n in range(1, 6) for F in all_four_regular_multigraphs(n)]
+    assert len(corpus) == 45
+    expansions = [k3_expand(R) for R in (complete_graph("abcd"), prism(), k33())]
+    for F in corpus + expansions:
+        for k in range(1, len(F.vertices) + 1):
+            want = [s for s in combinations(F.vertices, k)
+                    if not euler._soet_quick_no(F, frozenset(s))]
+            assert list(euler._soet_candidates(F, k)) == want, (F, k)
 
 
 def test_deep_tour_walks_are_decided():

@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from functools import partial
 from itertools import combinations, permutations
 
@@ -101,6 +104,31 @@ def test_no_worker_outlives_a_scan(yes, open_, boom, raises):
         with pytest.raises(raises):
             scan_subsets(task, ITEMS, 2)
     assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exits_ends_the_scan():
+    # in a child interpreter with a timeout, so that a scan that waits for
+    # the dead worker fails here instead of hanging the suite
+    script = textwrap.dedent("""
+        import multiprocessing, os
+        from vmkit.parallel import scan_subsets
+
+        parent = os.getpid()
+
+        def task(subset):
+            if os.getpid() != parent:
+                os._exit(3)
+
+        try:
+            scan_subsets(task, [(i,) for i in range(50)], 2)
+        except OSError as e:
+            print(type(e).__name__, e.strerror, multiprocessing.active_children())
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(solvers.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "WorkerError worker process exited with code 3 []\n"
 
 
 def test_one_scan_forks_once(tmp_path):
