@@ -21,6 +21,3 @@ class WorkerError(OSError):
     strerror says which: the worker count and the operating system's reason,
     or the worker's exit code.
     """
-
-    def __str__(self):
-        return self.strerror

@@ -240,10 +240,11 @@ def scan_subsets(task, subsets, workers, graph=None):
     todo = {}  # position -> [key, subset, state], unsettled
     first = None  # (position, subset, payload) of the first YES so far
     pos = 0  # the position of the next subset kept
+    more = True  # subsets remain to be read
     crew = _Crew(settle, workers) if forks else None
     try:
         while True:
-            if first is None and pos - next(iter(todo), pos) < window:
+            if first is None and more and pos - next(iter(todo), pos) < window:
                 for s in subsets:
                     m = past.key(s)
                     v = past.verdict(m)
@@ -254,6 +255,8 @@ def scan_subsets(task, subsets, workers, graph=None):
                     pos += 1
                     if pos - next(iter(todo)) == window:
                         break
+                else:
+                    more = False
             ready = []  # positions to search, in order
             for i, e in list(todo.items()):
                 if isinstance(e[2], list):
@@ -264,6 +267,8 @@ def scan_subsets(task, subsets, workers, graph=None):
                 if e[2] is True:
                     ready.append(i)
             if not todo:
+                if first is None and more:
+                    continue  # the whole window was skipped; read on
                 break
             if crew is None:
                 results = [(ready[0], settle(todo[ready[0]][1]))]

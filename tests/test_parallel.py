@@ -23,7 +23,7 @@ from vmkit import (
     k3_expand,
     star_vm_decide,
 )
-from vmkit import euler, solvers
+from vmkit import euler, parallel, solvers
 from vmkit.parallel import scan_subsets
 from vmkit.reduction import reduce_starvm_to_isovm
 
@@ -36,8 +36,8 @@ from corpus_helpers import (
     wheel5,
 )
 
-# 50 items: blocks of 16 at one worker and of 32 at two, so every scan below
-# crosses a block boundary at both worker counts
+# 50 items, more than the 32 subsets a scan at two workers reads past the
+# oldest unsettled one, so every scan below reads on as results come back
 ITEMS = [(i,) for i in range(50)]
 OPEN = {3, 20, 35, 47}
 
@@ -238,7 +238,7 @@ def _searched(tmp_path, scan, graph, workers):
     found = scan_subsets(partial(_logged, path, task), cands, workers, graph)
     searched = {tuple(line.split()) for line in path.read_text().splitlines()}
     if found is not None:
-        # a pool searches a whole round, which may reach past the YES
+        # a worker may search subsets past the YES before the YES comes back
         last = tuple(sorted(found[0]))
         searched = {s for s in searched if s <= last}
     return searched, found
@@ -297,3 +297,28 @@ def test_open_images_are_searched_and_settled_ones_skipped(tmp_path, workers):
     assert e.value.count == len(opened)
     # 8 orbits, so five searches are there because an earlier image is open
     assert (len(want), len(opened)) == (13, 6)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_maps_that_are_not_a_group_skip_the_same_subsets(tmp_path, monkeypatch, workers):
+    # automorphisms() may list only part of the group.  Here it lists one
+    # map without its powers: v00 -> vM and v(i) -> v(i-1) up to vM, where
+    # M is the number of subsets that two workers read before any result.
+    # At two workers v01..v(M-1) wait on v00 through each other; once v00
+    # says NO the scan reads vM, which waits on v(M-1), and then skips all of
+    # them at once.  It must still read the three subsets after them, which
+    # have no earlier image.
+    m = 2 * parallel.WINDOW
+    labels = [f"v{i:02d}" for i in range(m + 4)]
+    G = SimpleGraph(labels)
+    p = (m,) + tuple(range(m)) + tuple(range(m + 1, m + 4))
+    monkeypatch.setattr(parallel, "automorphisms", lambda graph: (p,))
+    parallel._image_tables.cache_clear()
+    try:
+        last = labels[-1]
+        scan = (partial(_fake, {last}, set(), set()), [(v,) for v in labels])
+        searched, found = _searched(tmp_path, scan, G, workers)
+    finally:
+        parallel._image_tables.cache_clear()
+    assert found == (frozenset({last}), f"payload {last}")
+    assert searched == {(labels[0],)} | {(v,) for v in labels[m + 1:]}
