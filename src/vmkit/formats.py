@@ -26,6 +26,12 @@ def _fail(line_no, col, msg):
     raise ValueError(f"line {line_no}, column {col}: {msg}")
 
 
+def _rows(text):
+    """(line number, stripped line) of each line not blank or a comment."""
+    rows = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
+    return [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+
+
 def _label_ok(tok):
     # "#" would start a comment line and "vertices" the declaration line
     # once the label leads a written line; "=" and "," separate labels
@@ -47,9 +53,7 @@ def parse_graph(text: str):
     token is shorthand for two single-character labels.  An optional
     "vertices ..." line right after the header lists isolated vertices.
     """
-    lines = text.splitlines()
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+    rows = _rows(text)
     if not rows:
         raise ValueError("line 1, column 1: empty graph text")
     no, header = rows[0]
@@ -147,8 +151,7 @@ def serialize_word(w: Dow) -> str:
 def parse_tour(text: str, F: MultiGraph) -> EulerianTour:
     """Parse the tour format: "tour" header, then alternating vertex and
     edge-id lines, one final edge id closing the walk back to the start."""
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+    rows = _rows(text)
     if not rows or rows[0][1] != "tour":
         raise ValueError('line 1, column 1: expected the header "tour"')
     body = rows[1:]
@@ -185,8 +188,7 @@ def serialize_tour(U: EulerianTour) -> str:
 
 def parse_witness(text: str) -> VmWitness:
     """Parse a witness: "LC v" / "DEL v" lines, then one "ISO a=x ..." line."""
-    rows = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
-    rows = [(no, ln) for no, ln in rows if ln and not ln.startswith("#")]
+    rows = _rows(text)
     if not rows:
         raise ValueError("line 1, column 1: empty witness")
     ops = []

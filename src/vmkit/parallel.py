@@ -3,31 +3,31 @@
 scan_subsets reads its subsets in order and searches each one whose answer
 it does not already know.  At one worker it searches them one at a time in
 this process.  With N >= 2 workers and at least two subsets it forks N
-worker processes once per scan, each with its own pipe, sends them the
-subsets that are ready in chunks of CHUNK, and settles each result as it
-arrives, in whatever order the workers finish.  It reads at most WINDOW * N
-subsets past the oldest one still unsettled, so a long search holds up
-reading only once that many have piled up behind it, and it reads nothing
-more once a YES has come back.  A worker answers a chunk up to the chunk's
-first YES.  The answer is the first YES in input order, and the rule below
-depends only on what earlier subsets said, so a scan searches the same
-subsets, up to its answer, at every worker count.  The deciders filter
-their subsets before the scan, so a subset that a cheap test rejects never
-leaves the parent process.
+worker processes once per scan, each with its own pipe, and sends them the
+subsets that are ready in chunks of CHUNK; a worker answers a chunk up to
+its first YES.  Results come back in any order, but subsets settle in input
+order, so the answer is the first YES to settle.  The scan reads at most
+WINDOW * N subsets past the oldest unsettled one, and none once a YES has
+come back.  The rule below depends only on what earlier subsets said, so a
+scan searches the same subsets, up to its answer, at every worker count.
+The deciders filter their subsets before the scan, so a subset that a
+cheap test rejects never leaves the parent process.
 
 A scan over the vertex subsets of a graph skips the subsets that one of the
 graph's automorphisms maps onto an earlier subset that said NO: take
 R = p(S) for a listed automorphism p, with R before S in lexicographic
-order.  If R's search said NO, or R was itself skipped, S is NO without a
-search; if R ran out of budget, S is searched.  This is sound because an
-automorphism carries a YES of S to a YES of R (it preserves SOET existence
-in a multigraph and the vertex-minor relation in a simple graph), and the
-deciders' filters are invariant under automorphisms, so R is a candidate
-whenever S is.  The first YES never has an earlier NO image, so it is
-always searched and every answer and witness is the one of a scan without
-automorphisms.  With a budget the rule only turns an open subset into a
-settled NO.  A subset whose earlier image is still being searched waits for
-that image's result; the subsets behind it do not.
+order.  If R's search said NO, or R was itself skipped or is not listed, S
+is NO without a search; if R ran out of budget, S is searched.  This is
+sound because an automorphism carries a YES of S to a YES of R (it
+preserves SOET existence in a multigraph and the vertex-minor relation in a
+simple graph), and the deciders' filters are invariant under automorphisms,
+so R is a candidate whenever S is.  The first YES never has an earlier NO
+image, so it is always searched and every answer and witness is the one of
+a scan without automorphisms.  With a budget the rule only turns an open
+subset into a settled NO.  A subset is skipped when read if an earlier
+image has settled without running out of budget.  If one is unsettled
+instead, the subset is held and checked once more when every subset before
+it has settled; the subsets behind it are not held up.
 """
 
 from functools import lru_cache, partial
@@ -95,59 +95,6 @@ def _image_tables(graph):
     return tuple(tables)
 
 
-class _Past:
-    """What a scan knows of the subsets before the one in hand.
-
-    An earlier subset is pending while the scan has read it and not yet
-    settled it, open once its search ran out of budget, and otherwise
-    settled: it said NO, was skipped, or said YES, after which nothing later
-    matters.  With a graph, keys are bitmasks (see _image_tables); without
-    one, subsets are their own keys and nothing is skipped.  The
-    automorphisms are listed once a subset may have an earlier image that
-    settles: at the first NO, or at once when workers search subsets side by
-    side, since a subset may then wait for an earlier one.
-    """
-
-    def __init__(self, graph, parallel):
-        self.graph = graph
-        self.open = set()
-        self.pending = set()
-        self.live = parallel
-        if graph is not None:
-            n = len(graph.vertices)
-            self.bit = {v: 1 << (n - 1 - i) for i, v in enumerate(graph.vertices)}
-
-    def key(self, subset):
-        if self.graph is None:
-            return tuple(subset)
-        return sum(map(self.bit.__getitem__, subset))
-
-    def verdict(self, m):
-        """For the subset with key m: True to search it, False when an
-        earlier image settled it, or else the list of its earlier images
-        still pending, to be passed to recheck once they settle."""
-        if not self.live or self.graph is None:
-            return True
-        tables = _image_tables(self.graph)
-        if not tables:
-            return True
-        images, rest, c = tables[0][m & 15], m >> 4, 1
-        while rest:
-            images = map(or_, images, tables[c][rest & 15])
-            rest, c = rest >> 4, c + 1
-        return self.recheck(r for r in images if r > m)
-
-    def recheck(self, earlier):
-        """verdict's answer for a subset with these earlier images."""
-        waits = []
-        for r in earlier:
-            if r in self.pending:
-                waits.append(r)
-            elif r not in self.open:
-                return False
-        return waits or True
-
-
 class _Crew:
     """N forked workers, each on its own pipe, that settle chunks of subsets."""
 
@@ -209,13 +156,32 @@ class _Crew:
             conn.close()
 
 
+
+
+def _earlier(graph, m):
+    """The keys of the images of the subset with key m under the listed
+    automorphisms of graph that come before it, one at a time."""
+    tables = _image_tables(graph)
+    if not tables:
+        return ()
+    images, rest, c = tables[0][m & 15], m >> 4, 1
+    while rest:
+        images = map(or_, images, tables[c][rest & 15])
+        rest, c = rest >> 4, c + 1
+    return (r for r in images if r > m)
+
+
+_HELD = object()  # a subset's state while it waits for the check at the front
+_DUE = object()  # a subset's state from when it is to be searched until its result
+
+
 def scan_subsets(task, subsets, workers, graph=None):
     """(frozenset(subset), payload) of the first subset whose task says yes.
 
     task(subset) returns a payload or None, or raises ResourceLimitError when
     its budget runs out.  subsets may be any iterable; it is read in order,
     at most WINDOW subsets per worker past the oldest unsettled one, and not
-    past the first YES that comes back.  With two or more workers and two or
+    past a YES that has come back.  With two or more workers and two or
     more subsets, N workers are forked for the scan and stopped when it
     ends; otherwise each subset is searched in this process in turn, none
     after the first YES.  The same subsets are searched, up to the answer,
@@ -228,76 +194,92 @@ def scan_subsets(task, subsets, workers, graph=None):
     With a graph, subsets are vertex subsets of it of one size, in
     lexicographic order; any subset that is not listed counts as NO, and a
     subset with an earlier NO image under an automorphism of the graph is NO
-    without a search (see the module docstring).
+    without a search (see the module docstring).  The first subset read is
+    always searched: in a list that holds every image of its subsets, it
+    has no earlier image.
     """
     subsets = iter(subsets)
     head = list(islice(subsets, 2))
     subsets = chain(head, subsets)
     forks = workers >= 2 and len(head) >= 2
     settle = partial(_settle, task)
-    past = _Past(graph, forks)
     window = WINDOW * workers if forks else 1
-    todo = {}  # position -> [key, subset, state], unsettled
-    first = None  # (position, subset, payload) of the first YES so far
+    if graph is None:
+        key, earlier = tuple, lambda m: ()
+    else:
+        n = len(graph.vertices)
+        bit = {v: 1 << (n - 1 - i) for i, v in enumerate(graph.vertices)}
+        key, earlier = (lambda s: sum(map(bit.__getitem__, s))), partial(_earlier, graph)
+    todo = {}  # position -> [key, subset, state or result], kept and unsettled
+    unsettled = set()  # the keys in todo
+    opened = set()  # the keys of the settled subsets that ran out of budget
+    ready = []  # the positions to search, in order
     pos = 0  # the position of the next subset kept
-    more = True  # subsets remain to be read
+    more = True  # subsets remain to be read, and no YES has come back
+
+    def check(m):
+        """True to search the subset with key m, False to skip it, or None
+        while an earlier image that may settle it is unsettled."""
+        held = False
+        for r in earlier(m):
+            if r in unsettled:
+                held = True
+            elif r not in opened:
+                return False  # it said NO, was skipped or is not listed
+        return None if held else True
+
     crew = _Crew(settle, workers) if forks else None
     try:
         while True:
-            if first is None and more and pos - next(iter(todo), pos) < window:
+            while todo:  # settle the oldest subset while it can be
+                i = next(iter(todo))
+                m, s, res = todo[i]
+                if res is _DUE:
+                    break
+                if res is _HELD:
+                    if check(m):  # every earlier image ran out of budget
+                        todo[i][2] = _DUE
+                        ready.insert(0, i)
+                        break
+                elif isinstance(res, ResourceLimitError):
+                    opened.add(m)
+                elif res is not None:
+                    return frozenset(s), res
+                del todo[i]
+                unsettled.discard(m)
+            if more and len(todo) < window:
                 for s in subsets:
-                    m = past.key(s)
-                    v = past.verdict(m)
+                    m = key(s)
+                    v = check(m) if pos else True  # the first subset read
                     if v is False:
                         continue
-                    todo[pos] = [m, s, v]
-                    past.pending.add(m)
+                    todo[pos] = [m, s, _DUE if v else _HELD]
+                    unsettled.add(m)
+                    if v:
+                        ready.append(pos)
                     pos += 1
-                    if pos - next(iter(todo)) == window:
+                    if len(todo) == window:
                         break
                 else:
                     more = False
-            ready = []  # positions to search, in order
-            for i, e in list(todo.items()):
-                if isinstance(e[2], list):
-                    e[2] = past.recheck(e[2])
-                    if e[2] is False:
-                        del todo[i]
-                        past.pending.discard(e[0])
-                if e[2] is True:
-                    ready.append(i)
             if not todo:
-                if first is None and more:
-                    continue  # the whole window was skipped; read on
                 break
             if crew is None:
-                results = [(ready[0], settle(todo[ready[0]][1]))]
-            else:
-                while ready and crew.idle:
-                    chunk, ready = ready[:CHUNK], ready[CHUNK:]
-                    for i in chunk:
-                        todo[i][2] = "sent"
-                    crew.send([(i, todo[i][1]) for i in chunk])
-                results = crew.results()
-            for i, res in results:
-                e = todo.pop(i, None)
-                if e is None:
-                    continue  # past the first YES
-                past.pending.discard(e[0])
-                if isinstance(res, ResourceLimitError):
-                    past.open.add(e[0])
-                    continue
-                past.live = True
-                if res is not None:
-                    first = (i, e[1], res)
-                    for j in [j for j in todo if j > i]:
-                        del todo[j]
+                i = ready.pop()
+                todo[i][2] = settle(todo[i][1])
+                continue
+            while ready and crew.idle:
+                chunk, ready = ready[:CHUNK], ready[CHUNK:]
+                crew.send([(i, todo[i][1]) for i in chunk])
+            for i, res in crew.results():
+                todo[i][2] = res
+                if res is not None and not isinstance(res, ResourceLimitError):
+                    more = False  # the answer is this subset or an earlier one
+                    ready = [j for j in ready if j < i]
     finally:
         if crew is not None:
             crew.stop()
-    if first is not None:
-        return frozenset(first[1]), first[2]
-    if past.open:
-        n = len(past.open)
+    if opened:
+        n = len(opened)
         raise ResourceLimitError(f"{n} subset searches exhausted the budget", count=n)
     return None

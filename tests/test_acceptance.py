@@ -370,8 +370,9 @@ def test_criterion_08_triangle_obstruction(run1):
 
 
 def test_criterion_09_petersen_negative_control(run1):
-    # Petersen is out of reach of the SOET search at k = 2|V| = 20 desk
-    # scale; the negative control runs through the Hamiltonicity oracle only.
+    # The SOET route also says NO on Petersen's expansion at k = 2|V| = 20,
+    # but it takes seconds; to keep Tier-1 short, the negative control runs
+    # through the Hamiltonicity oracle only.
     t0 = time.perf_counter()
     d = hamiltonian_decide(petersen())
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -266,6 +267,10 @@ def _open_or_no(open_, subset):
     return None
 
 
+def _says(yes, open_, subset):
+    return "yes" if subset in yes else _open_or_no(open_, subset)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_open_images_are_searched_and_settled_ones_skipped(tmp_path, workers):
     # C8 has 16 automorphisms; every third 4-subset runs out of budget.  A
@@ -322,3 +327,72 @@ def test_maps_that_are_not_a_group_skip_the_same_subsets(tmp_path, monkeypatch, 
         parallel._image_tables.cache_clear()
     assert found == (frozenset({last}), f"payload {last}")
     assert searched == {(labels[0],)} | {(v,) for v in labels[m + 1:]}
+
+
+def _listed_maps(monkeypatch, maps):
+    """Have the scan see only these maps, as tuples of vertex positions."""
+    monkeypatch.setattr(parallel, "automorphisms", lambda graph: maps)
+    parallel._image_tables.cache_clear()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_rule_holds_from_the_second_subset_at_every_worker_count(monkeypatch, workers):
+    # the listed map swaps a and b.  ("a", "b") runs out of budget, and the
+    # earlier image ("a", "d") of ("b", "d") is not listed, so it counts as
+    # NO and ("b", "d") is skipped, whatever an open subset before it said
+    _listed_maps(monkeypatch, ((1, 0, 2, 3),))
+    try:
+        task = partial(_says, {("b", "d")}, {("a", "b")})
+        with pytest.raises(ResourceLimitError) as e:
+            scan_subsets(task, [("a", "b"), ("b", "d")], workers, SimpleGraph("abcd"))
+    finally:
+        parallel._image_tables.cache_clear()
+    assert e.value.count == 1
+
+
+def _serial_rule(maps, labels, cands, yes, open_):
+    """The subsets the rule searches, one at a time in order, and the scan's
+    result: the first YES, or else the number of open subsets."""
+    at = {v: i for i, v in enumerate(labels)}
+    searched, opened = [], set()
+    for s in cands:
+        images = {tuple(sorted(labels[p[at[v]]] for v in s)) for p in maps}
+        if searched and any(r < s and r not in opened for r in images):
+            continue  # an earlier image said NO, was skipped or is not listed
+        searched.append(s)
+        if s in yes:
+            return searched, (frozenset(s), "yes")
+        if s in open_:
+            opened.add(s)
+    return searched, len(opened)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_random_maps_search_what_the_serial_rule_searches(tmp_path, monkeypatch, workers):
+    # 1-3 random maps that need not form a group, on 8-10 vertices, with
+    # random lists of k-subsets, some of them open and a few YES
+    rng = random.Random(21)
+    try:
+        for trial in range(120):
+            n, k = rng.randint(8, 10), rng.randint(2, 4)
+            labels = [f"v{i:02d}" for i in range(n)]
+            maps = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3)))
+            cands = [s for s in combinations(labels, k) if rng.random() < 0.6]
+            open_ = {s for s in cands if rng.random() < 0.3}
+            yes = {s for s in cands if rng.random() < 0.02}
+            want = _serial_rule(maps, labels, cands, yes, open_)
+            _listed_maps(monkeypatch, maps)
+            path = tmp_path / "searched"
+            path.write_text("")
+            task = partial(_logged, path, partial(_says, yes, open_))
+            try:
+                result = scan_subsets(task, cands, workers, SimpleGraph(labels)) or 0
+            except ResourceLimitError as e:
+                result = e.count
+            got = [tuple(line.split()) for line in path.read_text().splitlines()]
+            if isinstance(result, tuple):
+                # a worker may search subsets past the YES before it comes back
+                got = [s for s in got if s <= tuple(sorted(result[0]))]
+            assert (sorted(got), result) == want, (trial, maps)
+    finally:
+        parallel._image_tables.cache_clear()
