@@ -17,6 +17,7 @@ import sys
 from .errors import ResourceLimitError, WorkerError
 from .euler import find_euler_tour, induced_word, is_soet, iso_soet_decide, tour_from_word
 from .formats import (
+    _rows,
     bundle_chain_for,
     parse_graph,
     parse_subset,
@@ -191,11 +192,10 @@ def cmd_soet_solve(args):
 
 def _sniff_tour(text, F):
     """Accept a tour file, a bare word file, or a solve certificate."""
-    lines = text.splitlines()
-    first_idx = next((i for i, ln in enumerate(lines) if ln.strip()), None)
-    if first_idx is None:
+    rows = _rows(text)
+    if not rows:
         raise ValueError("empty tour file")
-    first = lines[first_idx].strip()
+    no, first = rows[0]
     if first == "tour":
         return parse_tour(text, F), None
     if first.split()[0] == "subset":
@@ -203,7 +203,7 @@ def _sniff_tour(text, F):
         if len(parts) != 2:
             raise ValueError("the subset line of a certificate names the vertices")
         subset = parse_subset(parts[1], F.vertices)
-        body = "\n".join(lines[first_idx + 1 :])
+        body = "\n".join(text.splitlines()[no:])
         return parse_tour(body, F), subset
     return tour_from_word(F, parse_word(text)), None
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 from .errors import ResourceLimitError
 from .graphs import MultiGraph, _reach, connected_components, is_regular
@@ -332,9 +331,6 @@ def _soet_candidates(F, k):
     if k >= 2:
         loops = {a for a, b in F.edges if a == b}
         V = [v for v in V if v not in loops]
-    if k < 3:
-        yield from combinations(V, k)
-        return
     n = len(V)
     pos = {v: i for i, v in enumerate(V)}
     adj = [0] * n  # the support of F[V] over the positions of V

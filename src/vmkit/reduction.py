@@ -9,8 +9,8 @@ a Hamiltonian cycle lifts to an explicit SOET certificate, and a SOET
 certificate of the right size collapses back to a Hamiltonian cycle.
 """
 
-from .euler import (SoetCertificate, _require_isosoet, find_euler_tour, induced_word, is_soet,
-                    tour_from_word)
+from .euler import (SoetCertificate, _class_key, _require_isosoet, find_euler_tour, induced_word,
+                    is_soet, tour_from_word)
 from .graphs import MultiGraph, SimpleGraph, connected_components
 from .words import Dow, alternance_graph
 
@@ -47,11 +47,7 @@ def validate_ham_cycle(R: SimpleGraph, cycle):
 def canonical_cycle(cycle):
     """Least rotation or reflection, starting at the least vertex."""
     cycle = tuple(cycle)
-    cands = []
-    for seq in (cycle, tuple(reversed(cycle))):
-        i = seq.index(min(seq))
-        cands.append(seq[i:] + seq[:i])
-    return min(cands)
+    return _class_key(cycle, cycle)[0]
 
 
 def decorate(v: str, x: str) -> str:

@@ -283,7 +283,7 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
 
 
 def _orbit_buckets(H, cap):
-    """H's LC orbit as {sorted nonzero degrees: [(rows, word), ...]}.
+    """H's LC orbit as {sorted nonzero degrees: [(graph, word), ...]}.
 
     Each member comes with the LC word reaching it from H; within a bucket
     the members keep the orbit's breadth-first order.
@@ -291,13 +291,16 @@ def _orbit_buckets(H, cap):
     buckets = {}
     for rows, word in _orbit_words(H, cap).items():
         degrees = tuple(sorted(filter(None, map(int.bit_count, rows))))
-        buckets.setdefault(degrees, []).append((rows, word))
+        M = SimpleGraph._from_rows(H.vertices, rows)
+        buckets.setdefault(degrees, []).append((M, word))
     return buckets
 
 
-def _make_iso_accept(wmask, labels, hvertices, buckets):
-    wbits = list(_bits(wmask))
-    wlabels = tuple(labels[i] for i in wbits)
+def _iso_task(G, H, buckets, budget, subset):
+    eng = _ElimSearch(G, subset, budget=budget,
+                      connected_target=len(connected_components(H)) == 1)
+    wbits = list(_bits(eng.wmask))
+    wlabels = tuple(eng.labels[i] for i in wbits)
     cache = {}
 
     def accept(rows):
@@ -311,8 +314,8 @@ def _make_iso_accept(wmask, labels, hvertices, buckets):
             return cache[rows]
         S = SimpleGraph._from_rows(wlabels, _restrict(rows, wbits))
         res = None
-        for mrows, word in bucket:
-            psi = find_isomorphism(S, SimpleGraph._from_rows(hvertices, mrows))
+        for M, word in bucket:
+            psi = find_isomorphism(S, M)
             if psi is None:
                 continue
             # undo the word that led from H to M, transported through psi
@@ -323,13 +326,7 @@ def _make_iso_accept(wmask, labels, hvertices, buckets):
         cache[rows] = res
         return res
 
-    return accept
-
-
-def _iso_task(G, H, buckets, budget, subset):
-    eng = _ElimSearch(G, subset, budget=budget,
-                      connected_target=len(connected_components(H)) == 1)
-    eng.accept = _make_iso_accept(eng.wmask, eng.labels, H.vertices, buckets)
+    eng.accept = accept
     return eng.run()
 
 

@@ -39,6 +39,16 @@ def petersen():
     return SimpleGraph(outer + inner, edges)
 
 
+def bridged():
+    """Two K4s, each with one edge subdivided, the two new vertices joined
+    by a bridge: with petersen(), one of the two smallest connected cubic
+    graphs that have no Hamiltonian cycle."""
+    edges = [("e", "j")]
+    for a, b, c, d, mid in ("abcde", "fghij"):
+        edges += [(a, mid), (mid, b), (a, c), (a, d), (b, c), (b, d), (c, d)]
+    return SimpleGraph("abcdefghij", edges)
+
+
 def wheel5():
     rim = ["w1", "w2", "w3", "w4", "w5"]
     return SimpleGraph(["w0"] + rim, [("w0", x) for x in rim] + list(zip(rim, rim[1:] + rim[:1])))

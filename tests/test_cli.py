@@ -32,7 +32,7 @@ from vmkit import (
 )
 from vmkit.cli import run_command
 
-from corpus_helpers import complete_graph, worked_graph, path_graph, petersen
+from corpus_helpers import bridged, complete_graph, worked_graph, path_graph, petersen
 
 X0 = "abcdaebced"
 
@@ -93,6 +93,11 @@ def test_soet_solve_roundtrip(files, f0_file, tmp_path, capsys):
     assert run_command(["soet-verify", f0_file, cert, "a,b,c,d"]) == 0
     # certificate subset and command line subset must agree
     assert run_command(["soet-verify", f0_file, cert, "abce"]) == 65
+    # comment lines may lead a certificate or a bare tour, as in a tour file
+    commented = files("commented.txt", "# solved by soet-solve\n\n" + text)
+    assert run_command(["soet-verify", f0_file, commented, "a,b,c,d"]) == 0
+    tour = files("tour.txt", "# the tour alone\n" + text.split("\n", 1)[1])
+    assert run_command(["soet-verify", f0_file, tour, "a,b,c,d"]) == 0
     assert run_command(["soet-solve", f0_file, "5"]) == 1
     capsys.readouterr()
 
@@ -337,13 +342,14 @@ def test_pipeline_yes(files, tmp_path, capsys):
 
 
 def test_pipeline_no(files, tmp_path, capsys):
-    pet = files("pet.graph", serialize_graph(petersen()))
-    outdir = str(tmp_path / "chain")
-    assert run_command(["pipeline", pet, "-o", outdir, "--format", "json"]) == 1
-    obj = json.loads(capsys.readouterr().out)
-    assert obj["status"] == "no"
-    assert len(obj["files"]) == 5
-    assert not os.path.exists(os.path.join(outdir, "ham_cycle.txt"))
+    for name, R in (("pet", petersen()), ("bridged", bridged())):
+        graph = files(f"{name}.graph", serialize_graph(R))
+        outdir = str(tmp_path / name)
+        assert run_command(["pipeline", graph, "-o", outdir, "--format", "json"]) == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["status"] == "no"
+        assert len(obj["files"]) == 5
+        assert not os.path.exists(os.path.join(outdir, "ham_cycle.txt"))
 
 
 # Mutated inputs: valid texts of each format with a few characters inserted,

@@ -39,6 +39,7 @@ from vmkit import (
 from corpus_helpers import (
     all_four_regular_multigraphs,
     all_labeled_graphs,
+    bridged,
     complete_graph,
     cycle_graph,
     worked_graph,
@@ -119,8 +120,9 @@ def test_hamiltonian_preconditions():
 
 
 def test_hamiltonian_petersen_is_no():
-    d = hamiltonian_decide(petersen())
-    assert d.is_no
+    for R in (petersen(), bridged()):
+        d = hamiltonian_decide(R)
+        assert d.is_no
 
 
 def test_star_decide_fixture():
