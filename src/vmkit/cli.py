@@ -203,7 +203,8 @@ def _sniff_tour(text, F):
         if len(parts) != 2:
             raise ValueError("the subset line of a certificate names the vertices")
         subset = parse_subset(parts[1], F.vertices)
-        body = "\n".join(text.splitlines()[no:])
+        # blank lines in place of the first `no` keep the file's line numbers
+        body = "\n" * no + "\n".join(text.splitlines()[no:])
         return parse_tour(body, F), subset
     return tour_from_word(F, parse_word(text)), None
 

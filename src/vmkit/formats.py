@@ -152,8 +152,10 @@ def parse_tour(text: str, F: MultiGraph) -> EulerianTour:
     """Parse the tour format: "tour" header, then alternating vertex and
     edge-id lines, one final edge id closing the walk back to the start."""
     rows = _rows(text)
-    if not rows or rows[0][1] != "tour":
+    if not rows:
         raise ValueError('line 1, column 1: expected the header "tour"')
+    if rows[0][1] != "tour":
+        _fail(rows[0][0], 1, 'expected the header "tour"')
     body = rows[1:]
     if not body or len(body) % 2 != 0:
         raise ValueError(

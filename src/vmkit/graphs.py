@@ -310,7 +310,6 @@ _AUTOMORPHISM_CAP = 128
 _AUTOMORPHISM_STEPS = 50_000
 
 
-@lru_cache(maxsize=256)
 def automorphisms(F):
     """Non-identity automorphisms of a SimpleGraph or MultiGraph.
 

@@ -368,24 +368,35 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
     return Decision("yes", (subset, w), f"V' = {{{' '.join(sorted(subset))}}}")
 
 
+@lru_cache(maxsize=1024)
+def _labeled_target(vertices, H, cap):
+    """H's orbit words on the vertex tuple, and whether H is connected.
+
+    The orbit is that of H with the vertices outside V(H) isolated.  A
+    ResourceLimitError is raised, not cached.
+    """
+    words = _orbit_words(SimpleGraph(vertices, H.sorted_edges()), cap)
+    return words, len(connected_components(H)) == 1
+
+
 def labeled_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None,
                       orbit_cap=DEFAULT_NODE_CAP) -> Decision:
     """Is H, labels and all, reachable from G by complementations and deletions?
 
     The subset is fixed to V(H); a survivor is accepted exactly when its
     rows are those of a member of H's orbit, computed on V(G) with the
-    vertices outside V(H) isolated.  This is the labeled primitive the
-    isomorphic deciders are cross-checked against.
+    vertices outside V(H) isolated and kept for the last 1,024 targets
+    (V(G), H, orbit_cap).  This is the labeled primitive the isomorphic
+    deciders are cross-checked against.
     """
     missing = sorted(set(H.vertices) - set(G.vertices))
     if missing:
         raise ValueError(f"H vertex {missing[0]!r} is not a vertex of G")
     try:
-        words = _orbit_words(SimpleGraph(G.vertices, H.sorted_edges()), orbit_cap)
+        words, connected = _labeled_target(G.vertices, H, orbit_cap)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
-    eng = _ElimSearch(G, H.vertices, budget=budget,
-                      connected_target=len(connected_components(H)) == 1)
+    eng = _ElimSearch(G, H.vertices, budget=budget, connected_target=connected)
 
     def accept(rows):
         word = words.get(rows)

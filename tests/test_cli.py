@@ -98,6 +98,17 @@ def test_soet_solve_roundtrip(files, f0_file, tmp_path, capsys):
     assert run_command(["soet-verify", f0_file, commented, "a,b,c,d"]) == 0
     tour = files("tour.txt", "# the tour alone\n" + text.split("\n", 1)[1])
     assert run_command(["soet-verify", f0_file, tour, "a,b,c,d"]) == 0
+    # a fault in the certificate's tour is reported on the file's own line
+    lines = text.splitlines()
+    assert lines[1] == "tour" and lines[9].isdigit()
+    capsys.readouterr()
+    for at, fault, msg in ((9, "x", "edge id 'x'"), (1, "walk", 'expected the header "tour"')):
+        wrong = lines[:at] + [fault] + lines[at + 1:]
+        for lead in ("", "# one\n# two\n"):
+            bad = files("bad.txt", lead + "\n".join(wrong) + "\n")
+            assert run_command(["soet-verify", f0_file, bad, "a,b,c,d"]) == 65
+            no = at + 1 + lead.count("\n")
+            assert f"line {no}, column 1: {msg}" in capsys.readouterr().err
     assert run_command(["soet-solve", f0_file, "5"]) == 1
     capsys.readouterr()
 

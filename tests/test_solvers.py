@@ -174,6 +174,31 @@ def test_labeled_decide_needs_h_vertices_in_g():
         labeled_vm_decide(C5, SimpleGraph("az", [("a", "z")]))
 
 
+def test_labeled_target_orbit_is_kept_but_not_an_overflow(monkeypatch):
+    searches = []
+    orbit_words = solvers._orbit_words
+
+    def counted(G, cap, stop_at=None):
+        searches.append(cap)
+        return orbit_words(G, cap, stop_at)
+
+    monkeypatch.setattr(solvers, "_orbit_words", counted)
+    solvers._labeled_target.cache_clear()
+    G, H = worked_graph(), complete_graph("abc")
+    # an overflow is not kept: the same small cap searches again, and the
+    # default cap still answers afterwards
+    assert labeled_vm_decide(G, H, orbit_cap=1).is_unknown
+    assert labeled_vm_decide(G, H, orbit_cap=1).is_unknown
+    assert len(searches) == 2
+    first = labeled_vm_decide(G, H)
+    assert first.is_yes and len(searches) == 3
+    # the second decision on the same target runs no orbit search
+    assert labeled_vm_decide(G, H) == first and len(searches) == 3
+    # a kept orbit does not answer for a smaller cap
+    assert labeled_vm_decide(G, H, orbit_cap=1).is_unknown
+    assert len(searches) == 4
+
+
 def _is_star(M):
     n = len(M.vertices)
     if n == 1:
