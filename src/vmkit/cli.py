@@ -26,6 +26,7 @@ from .formats import (
     parse_word,
     serialize_bundle,
     serialize_graph,
+    serialize_soet_cert,
     serialize_subset,
     serialize_tour,
     serialize_witness,
@@ -84,17 +85,11 @@ def _write(path, text):
         raise _WriteError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _simple(path):
+def _graph(path, cls):
     G = parse_graph(_read(path))
-    if not isinstance(G, SimpleGraph):
-        raise ValueError(f"{path} must hold a simple graph")
-    return G
-
-
-def _multi(path):
-    G = parse_graph(_read(path))
-    if not isinstance(G, MultiGraph):
-        raise ValueError(f"{path} must hold a multigraph")
+    if not isinstance(G, cls):
+        kind = "a multigraph" if cls is MultiGraph else "a simple graph"
+        raise ValueError(f"{path} must hold {kind}")
     return G
 
 
@@ -151,15 +146,27 @@ def _emit(args, artifact, status, detail="", extras=None):
 _EXIT = {"yes": 0, "no": 1, "unknown": 2}
 
 
+def _report(args, dec, yes):
+    """Emit a Decision; on YES, yes(witness) gives (artifact, JSON extras)."""
+    artifact, extras = yes(dec.witness) if dec.is_yes else (None, None)
+    _emit(args, artifact, dec.status, dec.detail, extras)
+    return _EXIT[dec.status]
+
+
+def _vm_witness(witness, **extras):
+    subset, w = witness
+    return serialize_witness(w), dict(extras, subset=serialize_subset(subset))
+
+
 def cmd_expand(args):
-    R = _simple(args.graph)
+    R = _graph(args.graph, SimpleGraph)
     F = k3_expand(R)
     _emit(args, serialize_graph(F), "yes", f"k = {2 * len(R.vertices)}")
     return 0
 
 
 def cmd_euler(args):
-    F = _multi(args.multigraph)
+    F = _graph(args.multigraph, MultiGraph)
     U = find_euler_tour(F)
     _emit(args, serialize_tour(U), "yes",
           "word: " + serialize_word(induced_word(U)).strip())
@@ -173,7 +180,7 @@ def cmd_alternance(args):
 
 
 def cmd_soet_solve(args):
-    F = _multi(args.multigraph)
+    F = _graph(args.multigraph, MultiGraph)
     try:
         found = iso_soet_decide(F, args.k, budget=_budget(args), workers=args.workers)
     except ResourceLimitError as e:
@@ -183,8 +190,7 @@ def cmd_soet_solve(args):
         _emit(args, None, "no", "no subset admits a semi-ordered tour")
         return 1
     subset, cert = found
-    artifact = f"subset {serialize_subset(subset)}\n" + serialize_tour(cert.tour)
-    _emit(args, artifact, "yes",
+    _emit(args, serialize_soet_cert(cert), "yes",
           "visit word: " + " ".join(cert.visit_word),
           extras={"subset": serialize_subset(subset)})
     return 0
@@ -210,7 +216,7 @@ def _sniff_tour(text, F):
 
 
 def cmd_soet_verify(args):
-    F = _multi(args.multigraph)
+    F = _graph(args.multigraph, MultiGraph)
     U, embedded = _sniff_tour(_read(args.tourfile), F)
     Vp = parse_subset(args.subset, F.vertices)
     if embedded is not None and embedded != Vp:
@@ -227,39 +233,26 @@ def cmd_soet_verify(args):
 
 
 def cmd_vm_solve(args):
-    G = _simple(args.graph)
-    H = _simple(args.target)
+    G = _graph(args.graph, SimpleGraph)
+    H = _graph(args.target, SimpleGraph)
     dec = iso_vm_decide(G, H, budget=_budget(args), workers=args.workers,
                         orbit_cap=args.limit)
-    if dec.is_yes:
-        subset, w = dec.witness
-        _emit(args, serialize_witness(w), "yes", dec.detail,
-              extras={"subset": serialize_subset(subset)})
-    else:
-        _emit(args, None, dec.status, dec.detail)
-    return _EXIT[dec.status]
+    return _report(args, dec, _vm_witness)
 
 
 def cmd_vm_solve_star(args):
-    G = _simple(args.graph)
+    G = _graph(args.graph, SimpleGraph)
     dec = star_vm_decide(G, args.k, budget=_budget(args), workers=args.workers)
-    _, H = reduce_starvm_to_isovm(G, args.k)
+    target = serialize_graph(reduce_starvm_to_isovm(G, args.k)[1])
     if args.target:
-        _write(args.target, serialize_graph(H))
+        _write(args.target, target)
         print(f"wrote {args.target}", file=sys.stderr)
-    if dec.is_yes:
-        subset, w = dec.witness
-        _emit(args, serialize_witness(w), "yes", dec.detail,
-              extras={"subset": serialize_subset(subset),
-                      "target": serialize_graph(H)})
-    else:
-        _emit(args, None, dec.status, dec.detail)
-    return _EXIT[dec.status]
+    return _report(args, dec, lambda witness: _vm_witness(witness, target=target))
 
 
 def cmd_vm_verify(args):
-    G = _simple(args.graph)
-    H = _simple(args.target)
+    G = _graph(args.graph, SimpleGraph)
+    H = _graph(args.target, SimpleGraph)
     w = parse_witness(_read(args.witness))
     if verify_vm_witness(G, H, w):
         _emit(args, None, "yes", "witness verified")
@@ -269,17 +262,12 @@ def cmd_vm_verify(args):
 
 
 def cmd_ham(args):
-    R = _simple(args.graph)
-    dec = hamiltonian_decide(R)
-    if dec.is_yes:
-        _emit(args, " ".join(dec.witness) + "\n", "yes", dec.detail)
-    else:
-        _emit(args, None, "no", dec.detail)
-    return _EXIT[dec.status]
+    R = _graph(args.graph, SimpleGraph)
+    return _report(args, hamiltonian_decide(R), lambda cycle: (" ".join(cycle) + "\n", None))
 
 
 def cmd_orbit(args):
-    G = _simple(args.graph)
+    G = _graph(args.graph, SimpleGraph)
     try:
         orbit = lc_orbit(G, args.limit)
     except ResourceLimitError as e:
@@ -295,7 +283,7 @@ def cmd_orbit(args):
 
 
 def cmd_pipeline(args):
-    R = _simple(args.graph)
+    R = _graph(args.graph, SimpleGraph)
     dec = hamiltonian_decide(R)
     chain = bundle_chain_for(R)
     verify_bundle_chain(chain)
@@ -310,9 +298,7 @@ def cmd_pipeline(args):
     if dec.is_yes:
         cycle = dec.witness
         files["ham_cycle.txt"] = " ".join(cycle) + "\n"
-        cert = build_soet_from_ham(R, cycle)
-        files["soet_cert.txt"] = (f"subset {serialize_subset(cert.subset)}\n"
-                                  + serialize_tour(cert.tour))
+        files["soet_cert.txt"] = serialize_soet_cert(build_soet_from_ham(R, cycle))
     written = [os.path.join(outdir, name) for name in files]
     for path, text in zip(written, files.values()):
         _write(path, text)

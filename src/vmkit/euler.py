@@ -394,9 +394,10 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     least SOET in lexicographic order of edge_seq among those leaving its
     anchor, the lesser endpoint of edge 0.  Reversing a tour keeps it a SOET
     and moves it to the other end of edge 0, so a hit is followed by a
-    second walk anchored there (none when edge 0 is a loop), and the
-    certificate is built on the lesser canonical tour of the two hits: the
-    least SOET class, the same on every call.
+    second walk anchored there (none when edge 0 is a loop).  A hit starts
+    with edge 0, and its reversal, rotated to start there too, is no less
+    than the hit from the other end; so the lesser hit is already the
+    canonical tour of the least SOET class, the same on every call.
 
     Parallel edges (loops included) are taken in ascending id order: an
     edge is skipped while its next-lesser twin, the parallel edge of the
@@ -528,7 +529,7 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
         U = walk(anchor)
         if U is None:
             return None  # the walk exhausted every tour from its anchor
-        hits.append(canonical_tour(U))
+        hits.append(U)
     U = min(hits, key=lambda U: (U.edge_seq, U.vertex_seq))
     return SoetCertificate(U, Vp, is_soet(U, Vp))
 

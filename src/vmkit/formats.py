@@ -253,6 +253,11 @@ def serialize_subset(subset) -> str:
     return ",".join(sorted(subset))
 
 
+def serialize_soet_cert(cert) -> str:
+    """A SOET certificate: a "subset a,b,..." line, then the tour."""
+    return f"subset {serialize_subset(cert.subset)}\n" + serialize_tour(cert.tour)
+
+
 BUNDLE_KINDS = ("cubham", "isosoet", "starvm", "isovm")
 
 

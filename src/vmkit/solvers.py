@@ -296,9 +296,8 @@ def _orbit_buckets(H, cap):
     return buckets
 
 
-def _iso_task(G, H, buckets, budget, subset):
-    eng = _ElimSearch(G, subset, budget=budget,
-                      connected_target=len(connected_components(H)) == 1)
+def _iso_task(G, connected, buckets, budget, subset):
+    eng = _ElimSearch(G, subset, budget=budget, connected_target=connected)
     wbits = list(_bits(eng.wmask))
     wlabels = tuple(eng.labels[i] for i in wbits)
     cache = {}
@@ -354,11 +353,12 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
     subsets = combinations(G.vertices, len(H.vertices))
-    if len(connected_components(H)) == 1:
+    connected = len(connected_components(H)) == 1
+    if connected:
         comps = connected_components(G)
         subsets = (s for s in subsets if any(set(s) <= c for c in comps))
     try:
-        found = scan_subsets(partial(_iso_task, G, H, buckets, budget), subsets, workers, G)
+        found = scan_subsets(partial(_iso_task, G, connected, buckets, budget), subsets, workers, G)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"{e.count} subsets hit the budget")
     if found is None:

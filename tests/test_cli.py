@@ -298,13 +298,41 @@ def test_worker_exit_is_exit_71(worked_file):
     assert proc.stderr == "error: worker process exited with code 3\n"
 
 
-def test_json_format(worked_file, capsys):
+def test_json_format(worked_file, files, tmp_path, capsys):
     code = run_command(["vm-solve-star", worked_file, "4", "--format", "json"])
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["status"] == "yes"
     assert obj["artifact"] == "DEL e\nISO a=h0 b=h1 c=h2 d=h3\n"
     assert obj["subset"] == "a,b,c,d"
+
+    # a YES object adds its artifact and the command's fields; NO and
+    # UNKNOWN hold only the status and the detail
+    k4 = files("k4.graph", serialize_graph(complete_graph("abcd")))
+    pet = files("petersen.graph", serialize_graph(petersen()))
+    k3 = files("k3.graph", serialize_graph(complete_graph("xyz")))
+    k2 = files("k2.graph", serialize_graph(complete_graph("xy")))
+    edgeless = files("e3.graph", "simple 3\nvertices a b c\n")
+    target = str(tmp_path / "star.graph")
+    star = ["--target", target]
+    runs = [
+        (["ham", k4], 0, {"artifact"}),
+        (["ham", pet], 1, set()),
+        (["vm-solve", worked_file, k3], 0, {"artifact", "subset"}),
+        (["vm-solve", edgeless, k2], 1, set()),
+        (["vm-solve", worked_file, k3, "--budget", "0"], 2, set()),
+        (["vm-solve-star", worked_file, "4"] + star, 0, {"artifact", "subset", "target"}),
+        (["vm-solve-star", edgeless, "2"] + star, 1, set()),
+        (["vm-solve-star", worked_file, "4", "--budget", "0"] + star, 2, set()),
+    ]
+    for argv, want, fields in runs:
+        assert run_command(argv + ["--format", "json"]) == want, argv
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["status"] == ("yes", "no", "unknown")[want]
+        assert set(obj) == {"status", "detail"} | fields, argv
+        if "target" in obj:
+            with open(target) as fh:
+                assert obj["target"] == fh.read()
 
 
 def test_deterministic_stdout_is_stable(f0_file, capsys):

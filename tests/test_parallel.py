@@ -165,8 +165,9 @@ def _star_scan(G, k):
 
 
 def _iso_scan(G, H):
-    task = partial(solvers._iso_task, G, H, solvers._orbit_buckets(H, 10**6), None)
-    if len(connected_components(H)) == 1:
+    connected = len(connected_components(H)) == 1
+    task = partial(solvers._iso_task, G, connected, solvers._orbit_buckets(H, 10**6), None)
+    if connected:
         return task, _in_one_component(G, len(H.vertices))
     return task, list(combinations(G.vertices, len(H.vertices)))
 
