@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import ResourceLimitError
-from .graphs import MultiGraph, _reach, connected_components, is_regular
+from .graphs import MultiGraph, _bits, _reach, _restrict, connected_components, is_regular
 from .parallel import scan_subsets
 from .words import Dow
 
@@ -286,31 +286,23 @@ def _soet_quick_no(F, Vp):
     k = len(Vp)
     if k < 2:
         return False
-    pos = {v: i for i, v in enumerate(Vp)}
-    rows = [0] * k  # the support of F[V'] over the positions of V'
-    for a, b in F.edges:
-        i = pos.get(a)
-        j = pos.get(b)
-        if i is None or j is None:
-            continue
-        if i == j:
-            return True  # a loop inside V'
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
+    mask = sum(1 << F._index[v] for v in Vp)  # V' over F's positions
+    if F.loops & mask:
+        return True  # a loop inside V'
     if k < 3:
         return False
+    rows = [r & mask for r in F.rows]  # the support of F[V'] on V'
     deg2 = 0  # the positions with two neighbours inside V'
-    for i, r in enumerate(rows):
-        d = r.bit_count()
+    for i in _bits(mask):
+        d = rows[i].bit_count()
         if d > 2:
             return True
         if d == 2:
             deg2 |= 1 << i
-    full = (1 << k) - 1
     left = deg2
     while left:
         comp = _reach(rows, left & -left)
-        if comp != full and not comp & ~deg2:
+        if comp != mask and not comp & ~deg2:
             return True  # a cycle through fewer than all of V'
         left &= ~comp
     return False
@@ -327,17 +319,10 @@ def _soet_candidates(F, k):
     its support is a set of disjoint paths; end[i] is the other end of the
     path that ends at i.
     """
-    V = F.vertices
-    if k >= 2:
-        loops = {a for a, b in F.edges if a == b}
-        V = [v for v in V if v not in loops]
+    keep = [i for i in range(len(F.vertices)) if k < 2 or not F.loops >> i & 1]
+    V = [F.vertices[i] for i in keep]
+    adj = _restrict(F.rows, keep)  # the support of F[V] over the positions of V
     n = len(V)
-    pos = {v: i for i, v in enumerate(V)}
-    adj = [0] * n  # the support of F[V] over the positions of V
-    for a, b in F.edges:
-        if a in pos and b in pos:
-            adj[pos[a]] |= 1 << pos[b]
-            adj[pos[b]] |= 1 << pos[a]
     end = list(range(n))
     chosen, undo = [], []  # undo[d]: the (i, end[i]) pairs to restore
     P = edges = 0  # the chosen positions, and the support edges among them

@@ -1,10 +1,11 @@
 """Labeled simple graphs and multigraphs with a fixed vertex order.
 
-Vertex labels are non-empty strings ordered lexicographically.  Simple
-graphs are immutable and hashable; adjacency bitmask rows are their one
-representation, and labels and label-pair edges their public face.
-Multigraphs carry dense integer edge ids assigned in input order, and those
-ids are identity-bearing (tours reference them).
+Vertex labels are non-empty strings ordered lexicographically.  Adjacency
+bitmask rows are the one adjacency representation of both graph classes;
+labels and label-pair edges are their public face.  Simple graphs are
+immutable and hashable.  Multigraphs carry dense integer edge ids assigned
+in input order, and those ids are identity-bearing (tours reference them);
+their rows are those of the simple support, and a loop mask sits beside them.
 """
 
 from __future__ import annotations
@@ -140,21 +141,29 @@ class MultiGraph:
     """Labeled multigraph.  Loops and parallel edges allowed.
 
     Edges are stored as sorted label pairs in a tuple; the index of an edge in
-    that tuple is its EdgeId.  Loops contribute 2 to the degree.
+    that tuple is its EdgeId.  Loops contribute 2 to the degree.  Beside the
+    edges sit the simple support's rows, as SimpleGraph keeps them over the
+    sorted vertex tuple, and loops, the mask of the vertices with a loop.
     """
 
     def __init__(self, vertices, edges=()):
-        vset = _check_labels(vertices)
-        self.vertices = tuple(sorted(vset))
-        self._vset = frozenset(vset)
+        self.vertices = vs = tuple(sorted(_check_labels(vertices)))
+        self._index = index = _index_of(vs)
+        rows = [0] * len(vs)
+        loops = 0
         es = []
         for u, v in edges:
-            if u not in vset:
-                raise ValueError(f"edge endpoint {u!r} is not a vertex")
-            if v not in vset:
-                raise ValueError(f"edge endpoint {v!r} is not a vertex")
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
+                bad = u if i is None else v
+                raise ValueError(f"edge endpoint {bad!r} is not a vertex")
+            if i == j:
+                loops |= 1 << i
+            else:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
             es.append((u, v) if u <= v else (v, u))
-        self.edges = tuple(es)
+        self.edges, self.rows, self.loops = tuple(es), tuple(rows), loops
         self._inc = None
 
     @property
@@ -162,7 +171,7 @@ class MultiGraph:
         return len(self.edges)
 
     def has_vertex(self, v):
-        return v in self._vset
+        return v in self._index
 
     def edge_ends(self, eid):
         return self.edges[eid]
@@ -179,7 +188,7 @@ class MultiGraph:
 
     def incident(self, v):
         """Edge ids touching v, ascending.  A loop appears once."""
-        if v not in self._vset:
+        if v not in self._index:
             raise ValueError(f"no vertex {v!r}")
         return self._incidence()[v]
 
@@ -192,8 +201,7 @@ class MultiGraph:
 
     def simple_support(self):
         """Underlying simple graph: one edge per adjacent distinct pair."""
-        pairs = {e for e in self.edges if e[0] != e[1]}
-        return SimpleGraph(self.vertices, pairs)
+        return SimpleGraph._from_rows(self.vertices, self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, MultiGraph):
@@ -232,12 +240,11 @@ def connected_components(F):
     Works for SimpleGraph and MultiGraph alike; returns a tuple of frozensets
     ordered by least member.
     """
-    G = F if isinstance(F, SimpleGraph) else F.simple_support()
     comps = []
-    left = (1 << len(G.vertices)) - 1
+    left = (1 << len(F.vertices)) - 1
     while left:
-        comp = _reach(G.rows, left & -left)
-        comps.append(frozenset(G.vertices[i] for i in _bits(comp)))
+        comp = _reach(F.rows, left & -left)
+        comps.append(frozenset(F.vertices[i] for i in _bits(comp)))
         left &= ~comp
     return tuple(comps)
 
@@ -321,14 +328,10 @@ def automorphisms(F):
     the list may be a part of the group; the identity, the least of them,
     is left out.
     """
+    maps = islice(_row_maps(F.rows, F.rows, _AUTOMORPHISM_STEPS), 1, _AUTOMORPHISM_CAP)
     if isinstance(F, SimpleGraph):
-        rows, keep = F.rows, None
-    else:
-        rows = F.simple_support().rows
-        pos = _index_of(F.vertices)
-        keep = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in F.edges)
-    maps = islice(_row_maps(rows, rows, _AUTOMORPHISM_STEPS), 1, _AUTOMORPHISM_CAP)
-    if keep is None:
         return tuple(maps)
+    pos = F._index  # edges are sorted label pairs, so their positions ascend
+    keep = sorted((pos[u], pos[v]) for u, v in F.edges)
     return tuple(p for p in maps
                  if sorted(tuple(sorted((p[i], p[j]))) for i, j in keep) == keep)

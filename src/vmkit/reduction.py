@@ -24,7 +24,7 @@ def require_cubic(R: SimpleGraph):
 def require_connected_cubic(R: SimpleGraph):
     """Raise ValueError unless R is a connected cubic graph, CUBHAM's input."""
     require_cubic(R)
-    if len(connected_components(R)) > 1:
+    if len(connected_components(R)) != 1:
         raise ValueError("the cubic graph must be connected")
 
 

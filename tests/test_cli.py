@@ -141,12 +141,17 @@ def test_vm_solve_and_verify(files, worked_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_ham(files, capsys):
+def test_ham(files, tmp_path, capsys):
     k4 = files("k4.graph", serialize_graph(complete_graph("abcd")))
     assert run_command(["ham", k4]) == 0
     assert capsys.readouterr().out == "a b c d\n"
     pet = files("pet.graph", serialize_graph(petersen()))
     assert run_command(["ham", pet]) == 1
+    # the graph with no vertices is not a connected cubic graph
+    empty = files("empty.graph", "simple 0\n")
+    for argv in (["ham", empty], ["pipeline", empty, "-o", str(tmp_path / "out")]):
+        assert run_command(argv) == 65
+        assert "the cubic graph must be connected" in capsys.readouterr().err
 
 
 def test_orbit(worked_file, capsys):

@@ -28,7 +28,7 @@ from vmkit import (
     vm_oracle_via_tours,
 )
 
-from corpus_helpers import all_four_regular_multigraphs, complete_graph, k33, prism
+from corpus_helpers import all_four_regular_multigraphs, complete_graph, k33, petersen, prism
 
 X0 = Dow.from_text("adcbaebced")
 FX0 = multigraph_from_word(X0)
@@ -325,6 +325,12 @@ def test_candidates_are_the_quick_no_survivors_in_order():
             want = [s for s in combinations(F.vertices, k)
                     if not euler._soet_quick_no(F, frozenset(s))]
             assert list(euler._soet_candidates(F, k)) == want, (F, k)
+
+
+def test_candidates_at_scale():
+    # C(30, 20), about 30 M subsets, of which the generator's cuts leave these
+    F = k3_expand(petersen())
+    assert sum(1 for _ in euler._soet_candidates(F, 20)) == 55_134
 
 
 def test_deep_tour_walks_are_decided():

@@ -245,6 +245,10 @@ _TWO_K4 = SimpleGraph("abcdefgh", [*combinations("abcd", 2), *combinations("efgh
     # bundle_chain_for refuses the same graph before any chain exists
     pytest.param(lambda c: bundle_chain_for(_TWO_K4), "must be connected",
                  id="disconnected-cubic-build"),
+    pytest.param(lambda c: [make_bundle("cubham", {"graph": "simple 0\n"}, [])],
+                 "must be connected", id="empty-cubic"),
+    pytest.param(lambda c: bundle_chain_for(SimpleGraph(())), "must be connected",
+                 id="empty-cubic-build"),
     pytest.param(lambda c: [c[0], dict(c[1], provenance=[5])],
                  "provenance is not a list", id="int-provenance"),
     pytest.param(lambda c: [c[0], "kind payload provenance"],

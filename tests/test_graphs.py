@@ -5,13 +5,16 @@ from itertools import combinations, permutations
 import pytest
 
 from vmkit import (
+    Dow,
     MultiGraph,
     SimpleGraph,
     connected_components,
     delete_vertex,
     find_isomorphism,
     is_regular,
+    k3_expand,
     local_complement,
+    multigraph_from_word,
 )
 from vmkit import graphs
 from vmkit.graphs import automorphisms, isomorphisms
@@ -20,8 +23,10 @@ from corpus_helpers import (
     all_labeled_graphs,
     complete_graph,
     cycle_graph,
+    k33,
     path_graph,
     petersen,
+    prism,
     star_graph,
 )
 
@@ -68,7 +73,24 @@ def test_multigraph_edge_ids_and_degrees():
     assert F.incident("b") == (0, 1)
     assert F.degree("a") == 4 and F.degree("b") == 2
     assert F.simple_support() == SimpleGraph("ab", [("a", "b")])
+    assert F.loops == 0b01
     assert is_regular(F, 4) is False
+
+
+def test_multigraph_rows_and_loops_match_the_edges():
+    corpus = [F for n in range(1, 6) for F in all_four_regular_multigraphs(n)]
+    assert len(corpus) == 45
+    expansions = [k3_expand(R) for R in (complete_graph("abcd"), prism(), k33(), petersen())]
+    traced = [multigraph_from_word(Dow(w)) for w in ("aabb", "abab", "abcabc", "aabcbc",
+                                                      "adcbaebced")]
+    for F in corpus + expansions + traced:
+        # the support as it was built from the edge list
+        support = SimpleGraph(F.vertices, {e for e in F.edges if e[0] != e[1]})
+        assert F.simple_support() == support, F
+        pos = {v: i for i, v in enumerate(F.vertices)}
+        assert F.loops == sum(1 << pos[a] for a in {a for a, b in F.edges if a == b}), F
+        back = pickle.loads(pickle.dumps(F))
+        assert (back.rows, back.loops) == (F.rows, F.loops), F
 
 
 def test_multigraph_equality():

@@ -117,6 +117,9 @@ def test_hamiltonian_preconditions():
     )
     with pytest.raises(ValueError):
         hamiltonian_decide(two_k4)
+    # no vertices: no component, so not connected
+    with pytest.raises(ValueError, match="must be connected"):
+        hamiltonian_decide(SimpleGraph(()))
 
 
 def test_hamiltonian_petersen_is_no():
