@@ -19,7 +19,7 @@ from functools import partial
 
 from .errors import ResourceLimitError
 from .graphs import MultiGraph, _bits, _reach, _restrict, connected_components, is_regular
-from .parallel import scan_subsets
+from .parallel import orbit_least, scan_subsets
 from .words import Dow
 
 
@@ -529,12 +529,14 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     Returns (subset, SoetCertificate) for the lexicographically first subset
     that admits one, scanning subsets in lexicographic order, with the least
     SOET class of that subset; None when all subsets are exhausted without a
-    hit.  When a budget is given and some subset search dies on it while no
-    other subset says yes, the outcome is unsettled and ResourceLimitError
-    is raised.  Every answer is canonical and does not depend on the worker
-    count; `deterministic` is accepted and ignored.  Subsets that
-    _soet_quick_no would reject are never generated (see _soet_candidates).
+    hit.  With a budget, a subset whose search runs out of it before any
+    subset says yes ends the scan, and ResourceLimitError names it, so a
+    budgeted YES is always the unbudgeted one.  Every answer is canonical
+    and does not depend on the worker count; `deterministic` is accepted
+    and ignored.  Subsets that _soet_quick_no would reject, or that an
+    automorphism of F maps onto an earlier subset, are never scanned (see
+    _soet_candidates and parallel.orbit_least).
     """
     _require_isosoet(F, k)
     task = partial(_soet_subset_task, F, budget)
-    return scan_subsets(task, _soet_candidates(F, k), workers, F)
+    return scan_subsets(task, orbit_least(F, _soet_candidates(F, k)), workers)

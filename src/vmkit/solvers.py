@@ -29,7 +29,7 @@ from .errors import ResourceLimitError
 from .euler import enumerate_euler_tours, find_euler_tour, induced_word
 from .graphs import SimpleGraph, _bits, _reach, _restrict, connected_components, find_isomorphism
 from .lc import DEFAULT_NODE_CAP, _orbit_words, delete_vertex, lc_word_between, local_complement
-from .parallel import scan_subsets
+from .parallel import orbit_least, scan_subsets
 from .reduction import reduce_starvm_to_isovm, require_connected_cubic
 from .words import alternance_graph
 
@@ -340,9 +340,13 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
     computed once up front.  That is equivalent to S's own orbit meeting
     the isomorphism class of H, because orbits are equivalence classes.
     The first accepting subset is reported with the least accepting ops
-    sequence, replayed as a VmWitness, so every answer is canonical.  If the
-    orbit of H overflows orbit_cap the decision is UNKNOWN; `deterministic`
-    is accepted and ignored.
+    sequence, replayed as a VmWitness, so every answer is canonical.  Subsets
+    that an automorphism of G maps onto an earlier subset are not scanned
+    (see parallel.orbit_least).  With a budget, a subset whose search runs
+    out of it before any subset says yes ends the scan as UNKNOWN, with a
+    detail that names it, so a budgeted YES is always the unbudgeted one.  If
+    the orbit of H overflows orbit_cap the decision is UNKNOWN;
+    `deterministic` is accepted and ignored.
     """
     if not H.vertices:
         raise ValueError("H must have at least one vertex")
@@ -358,9 +362,10 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
         comps = connected_components(G)
         subsets = (s for s in subsets if any(set(s) <= c for c in comps))
     try:
-        found = scan_subsets(partial(_iso_task, G, connected, buckets, budget), subsets, workers, G)
+        found = scan_subsets(partial(_iso_task, G, connected, buckets, budget),
+                             orbit_least(G, subsets), workers)
     except ResourceLimitError as e:
-        return Decision("unknown", None, f"{e.count} subsets hit the budget")
+        return Decision("unknown", None, str(e))
     if found is None:
         return Decision("no", None, "exhausted all candidate subsets")
     subset, (ops, iso) = found

@@ -1,5 +1,6 @@
 """Shared fixtures and exhaustive generators for the test suite."""
 
+from functools import cache
 from itertools import combinations, permutations
 
 from vmkit import Dow, DowClass, MultiGraph, SimpleGraph, connected_components, delete_vertex
@@ -65,6 +66,12 @@ def prism():
 
 def k33():
     return SimpleGraph("abcdef", [(u, v) for u in "abc" for v in "def"])
+
+
+def open_subset(message):
+    """The vertices of the subset that a budgeted scan's UNKNOWN names."""
+    names = message.removeprefix("subset {").removesuffix("} exhausted the budget")
+    return tuple(names.split())
 
 
 def induced(G, W):
@@ -140,8 +147,10 @@ def _connected_on(labels, edges):
     return len(seen) == len(labels)
 
 
+@cache
 def all_four_regular_multigraphs(n, connected=True):
-    """Connected 4-regular multigraphs on n vertices up to isomorphism.
+    """Connected 4-regular multigraphs on n vertices up to isomorphism, as a
+    tuple built once per (n, connected) and shared by every caller.
 
     Loops and parallel edges included; loops count 2 toward the degree.
     """
@@ -179,7 +188,7 @@ def all_four_regular_multigraphs(n, connected=True):
                 deg[v] -= count
 
     build(0, {v: 0 for v in labels}, [])
-    return sorted(found.values(), key=lambda F: (F.n_edges, F.edges))
+    return tuple(sorted(found.values(), key=lambda F: (F.n_edges, F.edges)))
 
 
 def all_connected_cubic_graphs(n):

@@ -163,8 +163,14 @@ def test_orbit(worked_file, capsys):
 
 
 def test_budget_flag_and_env(worked_file, f0_file, monkeypatch, capsys):
-    # the SOET search always walks, so budget 0 leaves it open
+    # the SOET search always walks, so budget 0 leaves it open; the scan
+    # ends at the first subset, and the detail names it
     assert run_command(["soet-solve", f0_file, "4", "--budget", "0"]) == 2
+    assert capsys.readouterr() == ("", "subset {a b c d} exhausted the budget\n")
+    assert run_command(["vm-solve-star", worked_file, "4", "--budget", "0",
+                        "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "unknown", "detail": "subset {a b c d} exhausted the budget"}
     assert run_command(["vm-solve-star", worked_file, "4", "--budget", "0"]) == 2
     monkeypatch.setenv("VMKIT_BUDGET", "0")
     assert run_command(["vm-solve-star", worked_file, "4"]) == 2

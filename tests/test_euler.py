@@ -28,7 +28,14 @@ from vmkit import (
     vm_oracle_via_tours,
 )
 
-from corpus_helpers import all_four_regular_multigraphs, complete_graph, k33, petersen, prism
+from corpus_helpers import (
+    all_four_regular_multigraphs,
+    complete_graph,
+    k33,
+    open_subset,
+    petersen,
+    prism,
+)
 
 X0 = Dow.from_text("adcbaebced")
 FX0 = multigraph_from_word(X0)
@@ -280,18 +287,31 @@ def test_iso_soet_decide_budget_and_workers():
 
 
 def test_budgeted_iso_soet_decide_is_worker_independent():
-    # the K3-expansion of K4, k = 8 (495 subsets): budget 500 first says
-    # yes at subset 241, where the unbudgeted scan says yes at subset 169
-    # (whose search takes 550 steps); budget 50 leaves 69 open and no yes
+    # the K3-expansion of K4, k = 8: the unbudgeted scan says yes at a
+    # subset whose search takes 550 steps, after subsets that say NO within
+    # 176, 180 and 259.  A budgeted scan ends at its first subset that does
+    # not say NO, so each budget gives the unbudgeted answer or names a
+    # subset no later than its subset, at every worker count.
     K4X = k3_expand(complete_graph("abcd"))
-    one = iso_soet_decide(K4X, 8, budget=500, workers=1)
-    assert one == iso_soet_decide(K4X, 8, budget=500, workers=2)
-    assert one[0] != iso_soet_decide(K4X, 8)[0]
-    for workers in (1, 2):
-        with pytest.raises(ResourceLimitError) as e:
-            iso_soet_decide(K4X, 8, budget=50, workers=workers)
-        assert str(e.value) == "69 subset searches exhausted the budget"
-        assert e.value.count == 69
+    assert K4X.vertices == tuple(sorted(K4X.vertices))
+    want = iso_soet_decide(K4X, 8)
+    named = set()
+    for budget in range(0, 601, 50):
+        outcomes = []
+        for workers in (1, 2):
+            try:
+                outcomes.append(iso_soet_decide(K4X, 8, budget=budget, workers=workers))
+            except ResourceLimitError as e:
+                outcomes.append(str(e))
+        one, two = outcomes
+        assert one == two, budget
+        if isinstance(one, str):
+            assert open_subset(one) <= tuple(sorted(want[0])), budget
+            named.add(one)
+        else:
+            assert one == want, budget
+    # UNKNOWN at two subsets before the answer and at the answer's own
+    assert len(named) == 3
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -25,13 +25,14 @@ from vmkit import (
     star_vm_decide,
 )
 from vmkit import euler, parallel, solvers
-from vmkit.parallel import scan_subsets
+from vmkit.parallel import orbit_least, scan_subsets
 from vmkit.reduction import reduce_starvm_to_isovm
 
 from corpus_helpers import (
     all_four_regular_multigraphs,
     complete_graph,
     cycle_graph,
+    open_subset,
     path_graph,
     petersen,
     wheel5,
@@ -59,30 +60,40 @@ def _log_pid(path, subset):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_first_yes_wins_after_open_subsets(workers):
-    task = partial(_fake, {40, 45}, OPEN, set())
-    assert scan_subsets(task, ITEMS, workers) == (frozenset({40}), "payload 40")
+    # open subsets after the first YES, in its chunk and in the next one, do
+    # not change the answer
+    task = partial(_fake, {37, 45}, {38, 41, 47}, set())
+    assert scan_subsets(task, ITEMS, workers) == (frozenset({37}), "payload 37")
+    # an open subset before the first YES ends the scan, and is named
+    task = partial(_fake, {37, 45}, {20, 35, 38}, set())
+    with pytest.raises(ResourceLimitError) as e:
+        scan_subsets(task, ITEMS, workers)
+    assert str(e.value) == "subset {20} exhausted the budget"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_stops_at_the_block_of_the_first_yes(workers):
     # item 40 lies beyond the first block at both worker counts
-    task = partial(_fake, {5}, OPEN, {40})
+    task = partial(_fake, {5}, {20, 35, 47}, {40})
     assert scan_subsets(task, ITEMS, workers) == (frozenset({5}), "payload 5")
 
 
 def test_one_worker_stops_at_the_first_yes():
     # item 6 shares the first block with the YES at item 5
-    task = partial(_fake, {5}, OPEN, {6})
+    task = partial(_fake, {5}, {20, 35, 47}, {6})
     assert scan_subsets(task, ITEMS, 1) == (frozenset({5}), "payload 5")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_open_subsets_without_a_yes_are_counted(workers):
-    task = partial(_fake, set(), OPEN, set())
+    # the scan ends at the first open subset: the error names it and keeps
+    # the count that its task raised, and item 40 beyond the first block is
+    # never searched
+    task = partial(_fake, set(), OPEN, {40})
     with pytest.raises(ResourceLimitError) as e:
         scan_subsets(task, ITEMS, workers)
-    assert e.value.count == len(OPEN)
-    assert str(e.value) == f"{len(OPEN)} subset searches exhausted the budget"
+    assert e.value.count == 7
+    assert str(e.value) == f"subset {{{min(OPEN)}}} exhausted the budget"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -233,11 +244,12 @@ def _logged(path, task, subset):
 
 
 def _searched(tmp_path, scan, graph, workers):
-    """The subsets a scan searched up to its first YES, and its result."""
+    """The subsets a scan of graph's orbit-least subsets searched up to its
+    first YES, and its result."""
     path = tmp_path / f"searched_{workers}"
     path.write_text("")
     task, cands = scan
-    found = scan_subsets(partial(_logged, path, task), cands, workers, graph)
+    found = scan_subsets(partial(_logged, path, task), orbit_least(graph, cands), workers)
     searched = {tuple(line.split()) for line in path.read_text().splitlines()}
     if found is not None:
         # a worker may search subsets past the YES before the YES comes back
@@ -274,35 +286,31 @@ def _says(yes, open_, subset):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_open_images_are_searched_and_settled_ones_skipped(tmp_path, workers):
-    # C8 has 16 automorphisms; every third 4-subset runs out of budget.  A
-    # reference applies the rule one subset at a time, with every
-    # automorphism found by brute force.
+    # C8 has 16 automorphisms.  A reference keeps the 4-subsets with no
+    # earlier image under any of them, found by brute force, one orbit each.
+    # Every other subset runs out of budget, so a scan that searched one
+    # would end there; the last kept subset runs out too, so the scan
+    # searches every kept subset and names the last.
     G = cycle_graph("abcdefgh")
     cands = list(combinations(G.vertices, 4))
-    open_ = set(cands[::3])
     auts = []
     for img in permutations(G.vertices):
         f = dict(zip(G.vertices, img))
         if all(G.has_edge(f[u], f[v]) for u, v in G.edges):
             auts.append(f)
     assert len(auts) == 16
-    want, opened = [], set()
-    for s in cands:
-        earlier = {tuple(sorted(f[v] for v in s)) for f in auts} - {s}
-        if any(r < s and r not in opened for r in earlier):
-            continue  # an earlier image said NO or was skipped
-        want.append(s)
-        if s in open_:
-            opened.add(s)
+    want = [s for s in cands if all(tuple(sorted(f[v] for v in s)) >= s for f in auts)]
+    assert list(orbit_least(G, cands)) == want
+    assert len(want) == 8
+    open_ = (set(cands) - set(want)) | {want[-1]}
     path = tmp_path / "searched"
     path.write_text("")
     with pytest.raises(ResourceLimitError) as e:
-        scan_subsets(partial(_logged, path, partial(_open_or_no, open_)), cands, workers, G)
+        scan_subsets(partial(_logged, path, partial(_open_or_no, open_)),
+                     orbit_least(G, cands), workers)
     got = [tuple(line.split()) for line in path.read_text().splitlines()]
     assert sorted(got) == want
-    assert e.value.count == len(opened)
-    # 8 orbits, so five searches are there because an earlier image is open
-    assert (len(want), len(opened)) == (13, 6)
+    assert str(e.value) == f"subset {{{' '.join(want[-1])}}} exhausted the budget"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -336,64 +344,83 @@ def _listed_maps(monkeypatch, maps):
     parallel._image_tables.cache_clear()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_the_rule_holds_from_the_second_subset_at_every_worker_count(monkeypatch, workers):
-    # the listed map swaps a and b.  ("a", "b") runs out of budget, and the
-    # earlier image ("a", "d") of ("b", "d") is not listed, so it counts as
-    # NO and ("b", "d") is skipped, whatever an open subset before it said
-    _listed_maps(monkeypatch, ((1, 0, 2, 3),))
-    try:
-        task = partial(_says, {("b", "d")}, {("a", "b")})
-        with pytest.raises(ResourceLimitError) as e:
-            scan_subsets(task, [("a", "b"), ("b", "d")], workers, SimpleGraph("abcd"))
-    finally:
-        parallel._image_tables.cache_clear()
-    assert e.value.count == 1
-
-
 def _serial_rule(maps, labels, cands, yes, open_):
     """The subsets the rule searches, one at a time in order, and the scan's
-    result: the first YES, or else the number of open subsets."""
+    result: the first YES, the message that names the first open subset,
+    or None."""
     at = {v: i for i, v in enumerate(labels)}
-    searched, opened = [], set()
+    searched = []
     for s in cands:
-        images = {tuple(sorted(labels[p[at[v]]] for v in s)) for p in maps}
-        if searched and any(r < s and r not in opened for r in images):
-            continue  # an earlier image said NO, was skipped or is not listed
+        if any(tuple(sorted(labels[p[at[v]]] for v in s)) < s for p in maps):
+            continue  # a listed map sends it to an earlier subset
         searched.append(s)
         if s in yes:
             return searched, (frozenset(s), "yes")
         if s in open_:
-            opened.add(s)
-    return searched, len(opened)
+            return searched, f"subset {{{' '.join(s)}}} exhausted the budget"
+    return searched, None
+
+
+def _scan_logged(tmp_path, labels, cands, yes, open_, workers):
+    """What _serial_rule gives, from scan_subsets over orbit_least with these
+    listed maps: the subsets searched up to the scan's end, and its result."""
+    path = tmp_path / "searched"
+    path.write_text("")
+    task = partial(_logged, path, partial(_says, yes, open_))
+    try:
+        result = scan_subsets(task, orbit_least(SimpleGraph(labels), cands), workers)
+    except ResourceLimitError as e:
+        result = str(e)
+    got = [tuple(line.split()) for line in path.read_text().splitlines()]
+    if result is not None:
+        # a worker may search subsets past the end before it comes back
+        last = tuple(sorted(result[0])) if isinstance(result, tuple) else open_subset(result)
+        got = [s for s in got if s <= last]
+    return sorted(got), result
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_rule_holds_from_the_second_subset_at_every_worker_count(tmp_path, monkeypatch,
+                                                                      workers):
+    # the listed map swaps a and b.  ("b", "d") has the earlier image
+    # ("a", "d"), which is not listed, and is skipped all the same: without
+    # the rule it would run out of budget, and with ("a", "b") open it is
+    # never reached.  The rule has no exception for the first subset.
+    _listed_maps(monkeypatch, ((1, 0, 2, 3),))
+    try:
+        labels = list("abcd")
+        for cands, yes, open_ in [([("a", "b"), ("b", "d")], set(), {("b", "d")}),
+                                  ([("a", "b"), ("b", "d")], {("b", "d")}, {("a", "b")}),
+                                  ([("b", "d"), ("c", "d")], {("c", "d")}, {("b", "d")})]:
+            want = _serial_rule(((1, 0, 2, 3),), labels, cands, yes, open_)
+            assert _scan_logged(tmp_path, labels, cands, yes, open_, workers) == want
+        assert want == ([("c", "d")], (frozenset({"c", "d"}), "yes"))
+    finally:
+        parallel._image_tables.cache_clear()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_random_maps_search_what_the_serial_rule_searches(tmp_path, monkeypatch, workers):
     # 1-3 random maps that need not form a group, on 8-10 vertices, with
-    # random lists of k-subsets, some of them open and a few YES
+    # random lists of k-subsets, a few of them open and a few YES; the
+    # first open or YES subset ends a scan, so both are rare enough that
+    # about half the scans read every subset and end NO
     rng = random.Random(21)
+    ends = []
     try:
         for trial in range(120):
             n, k = rng.randint(8, 10), rng.randint(2, 4)
             labels = [f"v{i:02d}" for i in range(n)]
             maps = tuple(tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3)))
             cands = [s for s in combinations(labels, k) if rng.random() < 0.6]
-            open_ = {s for s in cands if rng.random() < 0.3}
+            open_ = {s for s in cands if rng.random() < 0.02}
             yes = {s for s in cands if rng.random() < 0.02}
             want = _serial_rule(maps, labels, cands, yes, open_)
             _listed_maps(monkeypatch, maps)
-            path = tmp_path / "searched"
-            path.write_text("")
-            task = partial(_logged, path, partial(_says, yes, open_))
-            try:
-                result = scan_subsets(task, cands, workers, SimpleGraph(labels)) or 0
-            except ResourceLimitError as e:
-                result = e.count
-            got = [tuple(line.split()) for line in path.read_text().splitlines()]
-            if isinstance(result, tuple):
-                # a worker may search subsets past the YES before it comes back
-                got = [s for s in got if s <= tuple(sorted(result[0]))]
-            assert (sorted(got), result) == want, (trial, maps)
+            got = _scan_logged(tmp_path, labels, cands, yes, open_, workers)
+            assert got == want, (trial, maps)
+            ends.append(type(want[1]))
     finally:
         parallel._image_tables.cache_clear()
+    # scans that end in each way: YES, an open subset, and NO
+    assert set(ends) == {tuple, str, type(None)}

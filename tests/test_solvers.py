@@ -42,6 +42,7 @@ from corpus_helpers import (
     bridged,
     complete_graph,
     cycle_graph,
+    open_subset,
     worked_graph,
     path_graph,
     petersen,
@@ -326,25 +327,26 @@ def test_budget_turns_unknown():
 
 
 def test_budgeted_decisions_are_worker_independent():
-    # budgets that leave subsets open, measured per subset: star k = 5 at
-    # budget 20 first says yes at subset 57 after 57 open ones, at budget 10
-    # all 252 stay open; K4 at budget 10 says yes at subset 3 after 3 open
-    # ones, at budget 5 all 210 stay open
+    # a budgeted scan ends at its first subset that does not say NO, so each
+    # budget gives the unbudgeted answer or UNKNOWN at a subset no later
+    # than the unbudgeted one, at every worker count.  Petersen's first
+    # 5-subset and first 4-subset are the least YES for the star and K4 and
+    # need budgets 275 and 35.
     G = petersen()
-    for decide, status in (
-        (lambda w: star_vm_decide(G, 5, budget=20, workers=w), "yes"),
-        (lambda w: star_vm_decide(G, 5, budget=10, workers=w), "unknown"),
-        (lambda w: iso_vm_decide(G, K4, budget=10, workers=w), "yes"),
-        (lambda w: iso_vm_decide(G, K4, budget=5, workers=w), "unknown"),
-    ):
-        one = decide(1)
-        assert one.status == status
-        assert one == decide(2)
-    assert star_vm_decide(G, 5, budget=10).detail == "252 subsets hit the budget"
-    assert iso_vm_decide(G, K4, budget=5).detail == "210 subsets hit the budget"
-    # the open subsets before the budgeted YES would have said yes unbudgeted
-    assert star_vm_decide(G, 5, budget=20).witness[0] != star_vm_decide(G, 5).witness[0]
-    assert iso_vm_decide(G, K4, budget=10).witness[0] != iso_vm_decide(G, K4).witness[0]
+    for decide in (lambda **kw: star_vm_decide(G, 5, **kw),
+                   lambda **kw: iso_vm_decide(G, K4, **kw)):
+        want = decide()
+        seen = set()
+        for budget in range(0, 601, 50):
+            one = decide(budget=budget, workers=1)
+            assert one == decide(budget=budget, workers=2), budget
+            seen.add(one.status)
+            if one.is_unknown:
+                assert one.witness is None
+                assert open_subset(one.detail) <= tuple(sorted(want.witness[0])), budget
+            else:
+                assert one == want, budget
+        assert seen == {"yes", "unknown"}
 
 
 def test_deterministic_mode_is_worker_independent():
