@@ -402,10 +402,8 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     if _soet_quick_no(F, Vp):
         return None
 
-    req = None  # the distinct neighbours inside V' of each V' vertex
-    if k >= 3:
-        S = F.simple_support()
-        req = {v: S.neighbors(v) & Vp for v in Vp}
+    S = F.simple_support()
+    req = {v: S.neighbors(v) & Vp for v in Vp}  # distinct neighbours inside V'
 
     L = F.n_edges
     ends = F.edges
@@ -453,15 +451,8 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
         if pos < k:
             if nxt in firstseen:
                 return False
-            if req is not None:
-                if pos >= 2 and not req[visits[pos - 1]] <= {visits[pos - 2], nxt}:
-                    return False
-                if pos == k - 1:
-                    if not req[nxt] <= {visits[pos - 1], visits[0]}:
-                        return False
-                    if not req[visits[0]] <= {visits[1], nxt}:
-                        return False
-            return True
+            # V' adjacency is symmetric, so testing letters 1..k-2 covers the ends
+            return pos < 2 or req[visits[pos - 1]] <= {visits[pos - 2], nxt}
         return visits[pos - k] == nxt
 
     def walk(anchor):
@@ -519,10 +510,6 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     return SoetCertificate(U, Vp, is_soet(U, Vp))
 
 
-def _soet_subset_task(F, budget, subset):
-    return soet_search(F, subset, budget=budget)
-
-
 def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, workers=1):
     """Does some k-subset of V(F) admit a SOET?
 
@@ -538,5 +525,5 @@ def iso_soet_decide(F: MultiGraph, k: int, budget=None, deterministic=False, wor
     _soet_candidates and parallel.orbit_least).
     """
     _require_isosoet(F, k)
-    task = partial(_soet_subset_task, F, budget)
+    task = partial(soet_search, F, budget=budget)
     return scan_subsets(task, orbit_least(F, _soet_candidates(F, k)), workers)

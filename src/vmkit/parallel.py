@@ -4,14 +4,15 @@ scan_subsets reads its subsets in order and ends at the first one that does
 not say NO: a YES is the answer, and a subset that ran out of budget raises
 ResourceLimitError, which names it.  At one worker it searches the subsets
 one at a time in this process.  With N >= 2 workers and at least two
-subsets it forks N worker processes once per scan, each with its own pipe,
-and sends them the subsets in chunks of CHUNK; a worker answers a chunk up
-to its first result that is not NO.  Results come back in any order, but
-subsets settle in input order, so the scan ends where a serial scan ends.
-It reads at most WINDOW * N subsets past the oldest unsettled one, and none
-once a result that is not NO has come back.  The deciders filter their
-subsets before the scan, so a subset that a cheap test rejects never leaves
-the parent process.
+subsets it forks N worker processes once per scan, each with its own pipe.
+It reads a chunk of CHUNK = 8 subsets only for an idle worker, which
+answers it up to its first result that is not NO, and none once a result
+that is not NO has come back.  Results come back in any order, but subsets
+settle in input order, so the scan ends where a serial scan ends.  At most
+two chunks per worker (16 * N subsets) lie past the oldest unsettled one:
+one being searched and one that waits on an older one.  The deciders filter
+their subsets before the scan, so a subset that a cheap test rejects never
+leaves the parent process.
 
 orbit_least drops each subset that a listed automorphism of the graph maps
 onto an earlier subset, the orderly-generation test of Read (1978) and
@@ -33,7 +34,6 @@ from operator import or_
 from .errors import ResourceLimitError, WorkerError
 from .graphs import automorphisms
 
-WINDOW = 16  # subsets read past the oldest unsettled one, per worker
 CHUNK = 8  # subsets per message to a worker
 
 
@@ -193,11 +193,13 @@ def scan_subsets(task, subsets, workers):
     task(subset) returns a payload or None, or raises ResourceLimitError when
     its budget runs out.  subsets may be any iterable, read in order, and
     the scan ends at the first subset that does not say NO, at every worker
-    count (see the module docstring).  None means every subset said NO; a
-    subset that ran out of budget first raises ResourceLimitError, which
-    names it and keeps its task's count.  Workers that cannot be forked, or
-    a worker that exits during the scan, raise WorkerError; an exception
-    that a task raises in a worker is raised here.
+    count.  With N >= 2 workers it reads a chunk of 8 only for an idle
+    worker; at most two chunks per worker (16 * N subsets) lie past the
+    oldest unsettled one (see the module docstring).  None means every
+    subset said NO; a subset that ran out of budget first raises
+    ResourceLimitError, which names it and keeps its task's count.  Workers
+    that cannot be forked, or a worker that exits during the scan, raise
+    WorkerError; an exception that a task raises in a worker is raised here.
     """
     subsets = iter(subsets)
     head = list(islice(subsets, 2))
@@ -209,10 +211,9 @@ def scan_subsets(task, subsets, workers):
             if res is not None:
                 return _end(s, res)
         return None
-    window = WINDOW * workers
+    bound = 2 * CHUNK * workers  # unsettled subsets: two chunks per worker
     subsets = enumerate(subsets)
     todo = {}  # position -> [subset, result], read and unsettled
-    ready = []  # the positions to search, in order
     more = True  # subsets remain to be read, and every result back is NO
     crew = _Crew(settle, workers)
     try:
@@ -225,23 +226,17 @@ def scan_subsets(task, subsets, workers):
                 if res is not None:
                     return _end(s, res)
                 del todo[i]
-            if more and len(todo) < window:
-                for i, s in subsets:
-                    todo[i] = [s, _DUE]
-                    ready.append(i)
-                    if len(todo) == window:
-                        break
-                else:
-                    more = False
+            while more and crew.idle and len(todo) < bound:
+                chunk = list(islice(subsets, CHUNK))
+                more = len(chunk) == CHUNK
+                if chunk:
+                    todo.update((i, [s, _DUE]) for i, s in chunk)
+                    crew.send(chunk)
             if not todo:
                 return None
-            while ready and crew.idle:
-                chunk, ready = ready[:CHUNK], ready[CHUNK:]
-                crew.send([(i, todo[i][0]) for i in chunk])
             for i, res in crew.results():
                 todo[i][1] = res
                 if res is not None:
                     more = False  # the scan ends at this subset or an earlier one
-                    ready = [j for j in ready if j < i]
     finally:
         crew.stop()

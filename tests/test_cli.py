@@ -98,6 +98,12 @@ def test_soet_solve_roundtrip(files, f0_file, tmp_path, capsys):
     assert run_command(["soet-verify", f0_file, commented, "a,b,c,d"]) == 0
     tour = files("tour.txt", "# the tour alone\n" + text.split("\n", 1)[1])
     assert run_command(["soet-verify", f0_file, tour, "a,b,c,d"]) == 0
+    # a file of comments alone, or a subset line without vertices, is refused
+    capsys.readouterr()
+    for bad, msg in (("# no tour\n", "empty tour file"),
+                     ("subset\n" + text.split("\n", 1)[1], "names the vertices")):
+        assert run_command(["soet-verify", f0_file, files("bad.txt", bad), "a,b,c,d"]) == 65
+        assert msg in capsys.readouterr().err
     # a fault in the certificate's tour is reported on the file's own line
     lines = text.splitlines()
     assert lines[1] == "tour" and lines[9].isdigit()
@@ -133,6 +139,9 @@ def test_vm_solve_and_verify(files, worked_file, tmp_path, capsys):
     # a witness replayed against the wrong target fails, exit 1
     p3 = files("p3.graph", serialize_graph(path_graph("xyz")))
     assert run_command(["vm-verify", worked_file, p3, wit]) == 1
+    # an orbit of H larger than --limit leaves the question open, exit 2
+    assert run_command(["vm-solve", worked_file, p3, "--limit", "1"]) == 2
+    assert "orbit of H overflowed" in capsys.readouterr().err
     empty = files("e2.graph", "simple 2\nvertices a b\n")
     k2 = files("k2.graph", "simple 2\nxy\n")
     assert run_command(["vm-solve", empty, k2]) == 1

@@ -165,6 +165,8 @@ def test_soet_certificate_revalidates():
     assert cert.visit_word == ("a", "b", "c", "d")
     with pytest.raises(ValueError):
         SoetCertificate(tour_from_word(FX0, X0), Vp, ("a", "b", "c", "d"))
+    with pytest.raises(ValueError, match="visit word mismatch"):
+        SoetCertificate(U, Vp, ("b", "a", "c", "d"))
 
 
 def test_soet_search_fixture():

@@ -255,6 +255,12 @@ _TWO_K4 = SimpleGraph("abcdefgh", [*combinations("abcd", 2), *combinations("efgh
                  "not a JSON object", id="string-bundle"),
     pytest.param(lambda c: [c[0], dict(c[1], kind="starvm")],
                  "starvm bundle stands where", id="kind-swapped"),
+    pytest.param(lambda c: [c[0], dict(c[1], provenance=[])], "has no provenance",
+                 id="no-provenance"),
+    pytest.param(lambda c: [c[0], dict(c[1], payload=dict(c[1]["payload"], k=6))],
+                 "isosoet payload does not replay", id="payload-changed"),
+    pytest.param(lambda c: [c[0], dict(c[1], provenance=c[1]["provenance"] * 2)],
+                 "isosoet provenance does not replay", id="provenance-repeated"),
     pytest.param(lambda c: c + [dict(c[3], provenance=[
         {"source": payload_digest(c[3]["payload"])}])], "more than 4", id="fifth-bundle"),
 ])

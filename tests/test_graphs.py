@@ -75,6 +75,8 @@ def test_multigraph_edge_ids_and_degrees():
     assert F.simple_support() == SimpleGraph("ab", [("a", "b")])
     assert F.loops == 0b01
     assert is_regular(F, 4) is False
+    with pytest.raises(ValueError, match="'z' is not a vertex"):
+        MultiGraph("ab", [("a", "b"), ("a", "z")])
 
 
 def test_multigraph_rows_and_loops_match_the_edges():

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from functools import partial
 from itertools import combinations, permutations
 
@@ -143,6 +144,29 @@ def test_a_worker_that_exits_ends_the_scan():
     assert proc.stdout == "WorkerError worker process exited with code 3 []\n"
 
 
+def _slow_first(flag, subset):
+    if subset == (0,):
+        time.sleep(0.5)
+        flag.write_text("")
+
+
+def test_reads_stop_two_chunks_per_worker_past_the_oldest_unsettled_subset(tmp_path):
+    # item 0 is searched for half a second while the other worker answers
+    # the chunks after it; until item 0 settles, the scan reads at most two
+    # chunks per worker
+    flag = tmp_path / "item 0 searched"
+    early = []
+
+    def items():
+        for i in range(2000):
+            if not flag.exists():
+                early.append(i)
+            yield (i,)
+
+    assert scan_subsets(partial(_slow_first, flag), items(), 2) is None
+    assert len(early) <= 4 * parallel.CHUNK
+
+
 def test_one_scan_forks_once(tmp_path):
     log = tmp_path / "pids"
     assert scan_subsets(partial(_log_pid, log), ITEMS, 2) is None
@@ -161,7 +185,7 @@ def _circle(F):
 
 
 def _soet_scan(F, k):
-    task = partial(euler._soet_subset_task, F, None)
+    task = partial(euler.soet_search, F)
     return task, [s for s in combinations(F.vertices, k)
                   if not euler._soet_quick_no(F, frozenset(s))]
 
@@ -317,12 +341,11 @@ def test_open_images_are_searched_and_settled_ones_skipped(tmp_path, workers):
 def test_maps_that_are_not_a_group_skip_the_same_subsets(tmp_path, monkeypatch, workers):
     # automorphisms() may list only part of the group.  Here it lists one
     # map without its powers: v00 -> vM and v(i) -> v(i-1) up to vM, where
-    # M is the number of subsets that two workers read before any result.
-    # At two workers v01..v(M-1) wait on v00 through each other; once v00
-    # says NO the scan reads vM, which waits on v(M-1), and then skips all of
-    # them at once.  It must still read the three subsets after them, which
-    # have no earlier image.
-    m = 2 * parallel.WINDOW
+    # M is the number of subsets that two workers may read past the oldest
+    # unsettled one.  v01..vM each have an earlier image and are dropped;
+    # v00, whose image comes later, is kept.  The scan must still reach the
+    # three subsets after them, which the map fixes.
+    m = 4 * parallel.CHUNK
     labels = [f"v{i:02d}" for i in range(m + 4)]
     G = SimpleGraph(labels)
     p = (m,) + tuple(range(m)) + tuple(range(m + 1, m + 4))

@@ -1,7 +1,9 @@
 import pytest
 
 from vmkit import (
+    EulerianTour,
     SimpleGraph,
+    SoetCertificate,
     alternance_graph,
     build_soet_from_ham,
     canonical_cycle,
@@ -34,6 +36,8 @@ def test_k3_expand_shape():
         k3_expand(worked_graph())  # not cubic
     with pytest.raises(ValueError):
         k3_expand(SimpleGraph(["x^(y)", "u", "v"], []))
+    with pytest.raises(ValueError, match="port labels ambiguous"):
+        k3_expand(complete_graph(["a^(b)", "b", "c", "d"]))
 
 
 def test_reduce_cubham_to_isosoet():
@@ -71,6 +75,17 @@ def test_build_soet_round_trip_k4():
         assert len(cert.subset) == 8
         assert is_soet(cert.tour, cert.subset) is not None
         assert extract_ham_from_soet(K4, cert) == canonical_cycle(cyc)
+        # the same tour rotated so that its visit word opens on a triangle pair
+        vs, es = cert.tour.vertex_seq, cert.tour.edge_seq
+        for r in range(len(es)):
+            tour = EulerianTour(cert.tour.base, vs[r:] + vs[:r], es[r:] + es[:r])
+            s = is_soet(tour, cert.subset)
+            if s[0].split("^(")[0] == s[1].split("^(")[0]:
+                break
+        else:
+            pytest.fail("no rotation opens the visit word on a triangle pair")
+        rotated = SoetCertificate(tour, cert.subset, s)
+        assert extract_ham_from_soet(K4, rotated) == canonical_cycle(cyc)
 
 
 def test_build_soet_round_trip_six_vertex():

@@ -322,6 +322,8 @@ def test_budget_turns_unknown():
     assert d.is_unknown and "budget" in d.detail
     d = iso_vm_decide(worked_graph(), K3, budget=0)
     assert d.is_unknown
+    d = iso_vm_decide(worked_graph(), path_graph("xyz"), orbit_cap=1)
+    assert d.is_unknown and d.detail.startswith("orbit of H overflowed")
     d = labeled_vm_decide(worked_graph(), complete_graph("abc"), budget=0)
     assert d.is_unknown
 
