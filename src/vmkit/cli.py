@@ -2,9 +2,11 @@
 
 Exit codes carry the decision: 0 YES, 1 NO, 2 UNKNOWN or budget exhausted,
 64 usage errors, 65 validation errors, 71 worker processes that cannot be
-started or that exit during a scan, 73 output that cannot be written.
-Artifacts go to stdout (or the -o target); human diagnostics go to stderr,
-so redirected output stays clean and re-parseable.
+started or that exit during a scan, 73 output that cannot be written,
+stdout included.  _EXIT is the one map from a status to its code, and a
+budget that runs out anywhere in a command gives UNKNOWN.  Artifacts go to
+stdout (or the -o target); human diagnostics go to stderr, so redirected
+output stays clean and re-parseable.
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def _write(path, text):
         raise _WriteError(f"cannot write {path}: {e.strerror}") from None
 
 
+def _stdout(text):
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as e:
+        raise _WriteError(f"cannot write stdout: {e.strerror}") from None
+
+
 def _graph(path, cls):
     G = parse_graph(_read(path))
     if not isinstance(G, cls):
@@ -123,8 +133,12 @@ def _check_solver_args(args):
         raise _UsageError(f"argument --budget: must not be negative, got {args.budget}")
 
 
+_EXIT = {"yes": 0, "no": 1, "unknown": 2}
+
+
 def _emit(args, artifact, status, detail="", extras=None):
-    """Write the artifact (text mode) or a status object (json mode)."""
+    """Write the artifact (text mode) or a status object (json mode), and
+    return the status's exit code."""
     if args.format == "json":
         obj = {"status": status, "detail": detail}
         if artifact is not None:
@@ -138,19 +152,16 @@ def _emit(args, artifact, status, detail="", extras=None):
         _write(args.out, blob)
         print(f"wrote {args.out}", file=sys.stderr)
     elif blob:
-        sys.stdout.write(blob)
+        _stdout(blob)
     if detail:
         print(detail, file=sys.stderr)
-
-
-_EXIT = {"yes": 0, "no": 1, "unknown": 2}
+    return _EXIT[status]
 
 
 def _report(args, dec, yes):
     """Emit a Decision; on YES, yes(witness) gives (artifact, JSON extras)."""
     artifact, extras = yes(dec.witness) if dec.is_yes else (None, None)
-    _emit(args, artifact, dec.status, dec.detail, extras)
-    return _EXIT[dec.status]
+    return _emit(args, artifact, dec.status, dec.detail, extras)
 
 
 def _vm_witness(witness, **extras):
@@ -161,39 +172,30 @@ def _vm_witness(witness, **extras):
 def cmd_expand(args):
     R = _graph(args.graph, SimpleGraph)
     F = k3_expand(R)
-    _emit(args, serialize_graph(F), "yes", f"k = {2 * len(R.vertices)}")
-    return 0
+    return _emit(args, serialize_graph(F), "yes", f"k = {2 * len(R.vertices)}")
 
 
 def cmd_euler(args):
     F = _graph(args.multigraph, MultiGraph)
     U = find_euler_tour(F)
-    _emit(args, serialize_tour(U), "yes",
-          "word: " + serialize_word(induced_word(U)).strip())
-    return 0
+    return _emit(args, serialize_tour(U), "yes",
+                 "word: " + serialize_word(induced_word(U)).strip())
 
 
 def cmd_alternance(args):
     w = parse_word(_read(args.word))
-    _emit(args, serialize_graph(alternance_graph(w)), "yes")
-    return 0
+    return _emit(args, serialize_graph(alternance_graph(w)), "yes")
 
 
 def cmd_soet_solve(args):
     F = _graph(args.multigraph, MultiGraph)
-    try:
-        found = iso_soet_decide(F, args.k, budget=_budget(args), workers=args.workers)
-    except ResourceLimitError as e:
-        _emit(args, None, "unknown", str(e))
-        return 2
+    found = iso_soet_decide(F, args.k, budget=_budget(args), workers=args.workers)
     if found is None:
-        _emit(args, None, "no", "no subset admits a semi-ordered tour")
-        return 1
+        return _emit(args, None, "no", "no subset admits a semi-ordered tour")
     subset, cert = found
-    _emit(args, serialize_soet_cert(cert), "yes",
-          "visit word: " + " ".join(cert.visit_word),
-          extras={"subset": serialize_subset(subset)})
-    return 0
+    return _emit(args, serialize_soet_cert(cert), "yes",
+                 "visit word: " + " ".join(cert.visit_word),
+                 extras={"subset": serialize_subset(subset)})
 
 
 def _sniff_tour(text, F):
@@ -226,10 +228,8 @@ def cmd_soet_verify(args):
         )
     s = is_soet(U, Vp)
     if s is None:
-        _emit(args, None, "no", "the tour is not semi-ordered over that subset")
-        return 1
-    _emit(args, None, "yes", "visit word: " + " ".join(s))
-    return 0
+        return _emit(args, None, "no", "the tour is not semi-ordered over that subset")
+    return _emit(args, None, "yes", "visit word: " + " ".join(s))
 
 
 def cmd_vm_solve(args):
@@ -255,10 +255,8 @@ def cmd_vm_verify(args):
     H = _graph(args.target, SimpleGraph)
     w = parse_witness(_read(args.witness))
     if verify_vm_witness(G, H, w):
-        _emit(args, None, "yes", "witness verified")
-        return 0
-    _emit(args, None, "no", "witness does not prove the claim")
-    return 1
+        return _emit(args, None, "yes", "witness verified")
+    return _emit(args, None, "no", "witness does not prove the claim")
 
 
 def cmd_ham(args):
@@ -268,18 +266,13 @@ def cmd_ham(args):
 
 def cmd_orbit(args):
     G = _graph(args.graph, SimpleGraph)
-    try:
-        orbit = lc_orbit(G, args.limit)
-    except ResourceLimitError as e:
-        _emit(args, None, "unknown", str(e))
-        return 2
+    orbit = lc_orbit(G, args.limit)
     lines = [f"orbit {len(orbit)}"]
     rows = sorted(
         (" ".join(f"{u}-{v}" for u, v in M.sorted_edges()) or "-") for M in orbit
     )
     lines.extend(rows)
-    _emit(args, "\n".join(lines) + "\n", "yes", f"{len(orbit)} graphs")
-    return 0
+    return _emit(args, "\n".join(lines) + "\n", "yes", f"{len(orbit)} graphs")
 
 
 def cmd_pipeline(args):
@@ -304,11 +297,9 @@ def cmd_pipeline(args):
         _write(path, text)
     if args.format == "json":
         obj = {"status": dec.status, "files": written}
-        sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        _stdout(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     else:
-        for path in written:
-            print(f"wrote {path}")
-        print(f"expected: {dec.status}")
+        _stdout("".join(f"wrote {path}\n" for path in written) + f"expected: {dec.status}\n")
     return _EXIT[dec.status]
 
 
@@ -391,16 +382,16 @@ def run_command(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_solver_args(args)
-        return args.run(args)
+        try:
+            return args.run(args)
+        except ResourceLimitError as e:  # inside the outer try, so a failed write exits 73
+            return _emit(args, None, "unknown", str(e))
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 64
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 65
-    except ResourceLimitError as e:
-        print(f"unsettled: {e}", file=sys.stderr)
-        return 2
     except WorkerError as e:
         print(f"error: {e.strerror}", file=sys.stderr)
         return 71

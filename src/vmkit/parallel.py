@@ -5,14 +5,14 @@ not say NO: a YES is the answer, and a subset that ran out of budget raises
 ResourceLimitError, which names it.  At one worker it searches the subsets
 one at a time in this process.  With N >= 2 workers and at least two
 subsets it forks N worker processes once per scan, each with its own pipe.
-It reads a chunk of CHUNK = 8 subsets only for an idle worker, which
-answers it up to its first result that is not NO, and none once a result
-that is not NO has come back.  Results come back in any order, but subsets
-settle in input order, so the scan ends where a serial scan ends.  At most
-two chunks per worker (16 * N subsets) lie past the oldest unsettled one:
-one being searched and one that waits on an older one.  The deciders filter
-their subsets before the scan, so a subset that a cheap test rejects never
-leaves the parent process.
+It reads a chunk of CHUNK = 8 subsets only for an idle worker.  A worker
+answers each chunk with its first subset that does not say NO, or with
+nothing, and once a subset has come back no more chunks are read.  Chunks
+come back in any order, but settle in input order, so the scan ends where a
+serial scan ends.  At most two chunks per worker (16 * N subsets) lie past
+the oldest unsettled one: one being searched and one that waits on an older
+one.  The deciders filter their subsets before the scan, so a subset that a
+cheap test rejects never leaves the parent process.
 
 orbit_least drops each subset that a listed automorphism of the graph maps
 onto an earlier subset, the orderly-generation test of Read (1978) and
@@ -27,7 +27,8 @@ budget, too, a scan of the kept subsets gives the unbudgeted YES or ends at
 a subset that ran out.
 """
 
-from functools import lru_cache, partial
+from collections import deque
+from functools import lru_cache
 from itertools import chain, islice
 from operator import or_
 
@@ -37,27 +38,28 @@ from .graphs import automorphisms
 CHUNK = 8  # subsets per message to a worker
 
 
-def _settle(task, subset):
-    try:
-        return task(subset)
-    except ResourceLimitError as e:
-        return e  # an open subset, which ends the scan
+def _first(task, subsets):
+    """(subset, result) of the first subset whose task does not say NO, or
+    None.  A ResourceLimitError that the task raises is a result: an open
+    subset, which ends the scan."""
+    for s in subsets:
+        try:
+            res = task(s)
+        except ResourceLimitError as e:
+            res = e
+        if res is not None:
+            return s, res
+    return None
 
 
-def _serve(settle, conn):
-    """A worker: answer each chunk of (position, subset) pairs with the
-    (position, result) pairs up to the chunk's first result that is not NO,
-    or with the exception a task raised."""
+def _serve(task, conn):
+    """A worker: answer each chunk of subsets with _first over it, or with
+    the exception a task raised."""
     try:
         while True:
             chunk = conn.recv()
-            out = []
             try:
-                for i, s in chunk:
-                    res = settle(s)
-                    out.append((i, res))
-                    if res is not None:
-                        break  # the scan ends here or earlier
+                out = _first(task, chunk)
             except Exception as e:  # raised again by the scan
                 out = e
             conn.send(out)
@@ -117,7 +119,7 @@ def orbit_least(graph, subsets):
 class _Crew:
     """N forked workers, each on its own pipe, that settle chunks of subsets."""
 
-    def __init__(self, settle, workers):
+    def __init__(self, task, workers):
         import multiprocessing  # here, not at import time: most runs never fork
         from multiprocessing.connection import wait
 
@@ -127,7 +129,7 @@ class _Crew:
         try:
             for _ in range(workers):
                 mine, theirs = ctx.Pipe()
-                p = ctx.Process(target=_serve, args=(settle, theirs), daemon=True)
+                p = ctx.Process(target=_serve, args=(task, theirs), daemon=True)
                 self.procs[mine] = p
                 try:
                     p.start()
@@ -137,19 +139,21 @@ class _Crew:
             self.stop()
             raise WorkerError(e.errno, f"cannot start {workers} workers: {e.strerror}") from e
         self.idle = list(self.procs)
+        self.busy = {}  # a worker's end -> the slot of the chunk it searches
 
-    def send(self, chunk):
-        """Hand a chunk of (position, subset) pairs to an idle worker."""
+    def send(self, chunk, slot):
+        """Hand a chunk of subsets to an idle worker; its result goes to slot[0]."""
         conn = self.idle.pop()
+        self.busy[conn] = slot
         try:
             conn.send(chunk)
         except OSError:
             self.died(conn)
 
-    def results(self):
-        """The (position, result) pairs of the chunks that come back next."""
+    def collect(self):
+        """Fill the slots of the chunks that come back next; their results."""
         out = []
-        for conn in self.wait([c for c in self.procs if c not in self.idle]):
+        for conn in self.wait(list(self.busy)):
             try:
                 res = conn.recv()
             except (EOFError, OSError):
@@ -157,7 +161,8 @@ class _Crew:
             if isinstance(res, Exception):
                 raise res
             self.idle.append(conn)
-            out += res
+            self.busy.pop(conn)[0] = res
+            out.append(res)
         return out
 
     def died(self, conn):
@@ -175,7 +180,7 @@ class _Crew:
             conn.close()
 
 
-_DUE = object()  # a subset's result from when it is read until it comes back
+_DUE = object()  # a chunk's result from when it is sent until it comes back
 
 
 def _end(subset, res):
@@ -194,49 +199,39 @@ def scan_subsets(task, subsets, workers):
     its budget runs out.  subsets may be any iterable, read in order, and
     the scan ends at the first subset that does not say NO, at every worker
     count.  With N >= 2 workers it reads a chunk of 8 only for an idle
-    worker; at most two chunks per worker (16 * N subsets) lie past the
-    oldest unsettled one (see the module docstring).  None means every
-    subset said NO; a subset that ran out of budget first raises
-    ResourceLimitError, which names it and keeps its task's count.  Workers
-    that cannot be forked, or a worker that exits during the scan, raise
-    WorkerError; an exception that a task raises in a worker is raised here.
+    worker, which answers with the chunk's first subset that does not say
+    NO, or with nothing; chunks settle in input order, and at most two
+    chunks per worker (16 * N subsets) lie past the oldest unsettled one
+    (see the module docstring).  None means every subset said NO; a subset
+    that ran out of budget first raises ResourceLimitError, which names it
+    and keeps its task's count.  Workers that cannot be forked, or a worker
+    that exits during the scan, raise WorkerError; an exception that a task
+    raises in a worker is raised here.
     """
     subsets = iter(subsets)
     head = list(islice(subsets, 2))
     subsets = chain(head, subsets)
-    settle = partial(_settle, task)
     if workers < 2 or len(head) < 2:
-        for s in subsets:
-            res = settle(s)
-            if res is not None:
-                return _end(s, res)
-        return None
-    bound = 2 * CHUNK * workers  # unsettled subsets: two chunks per worker
-    subsets = enumerate(subsets)
-    todo = {}  # position -> [subset, result], read and unsettled
+        found = _first(task, subsets)
+        return None if found is None else _end(*found)
+    sent = deque()  # a [result] slot per chunk sent and unsettled, oldest first
     more = True  # subsets remain to be read, and every result back is NO
-    crew = _Crew(settle, workers)
+    crew = _Crew(task, workers)
     try:
         while True:
-            while todo:  # settle the oldest subset while it can be
-                i = next(iter(todo))
-                s, res = todo[i]
-                if res is _DUE:
-                    break
-                if res is not None:
-                    return _end(s, res)
-                del todo[i]
-            while more and crew.idle and len(todo) < bound:
+            while sent and sent[0][0] is not _DUE:  # settle the oldest chunks
+                found = sent.popleft()[0]
+                if found is not None:
+                    return _end(*found)
+            while more and crew.idle and len(sent) < 2 * workers:
                 chunk = list(islice(subsets, CHUNK))
                 more = len(chunk) == CHUNK
                 if chunk:
-                    todo.update((i, [s, _DUE]) for i, s in chunk)
-                    crew.send(chunk)
-            if not todo:
+                    sent.append([_DUE])
+                    crew.send(chunk, sent[-1])
+            if not sent:
                 return None
-            for i, res in crew.results():
-                todo[i][1] = res
-                if res is not None:
-                    more = False  # the scan ends at this subset or an earlier one
+            if any(crew.collect()):
+                more = False  # the scan ends in these chunks or an earlier one
     finally:
         crew.stop()

@@ -32,7 +32,7 @@ from vmkit import (
 )
 from vmkit.cli import run_command
 
-from corpus_helpers import bridged, complete_graph, worked_graph, path_graph, petersen
+from corpus_helpers import bridged, complete_graph, worked_graph, path_graph, petersen, prism
 
 X0 = "abcdaebced"
 
@@ -271,14 +271,28 @@ def test_output_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert parse_graph(out.read_text(encoding="utf-8")) == k3_expand(K4)
 
 
-def test_write_failures(files, worked_file, capsys):
+def test_write_failures(files, worked_file, f0_file, tmp_path, monkeypatch, capsys):
     k4 = files("k4.graph", serialize_graph(complete_graph("abcd")))
     bad = os.path.join(files("plain_file", ""), "x")  # a file's child
     assert run_command(["expand", k4, "-o", bad]) == 73
     assert run_command(["vm-solve-star", worked_file, "4", "--target", bad]) == 73
     assert run_command(["pipeline", k4, "-o", bad]) == 73
+    # an UNKNOWN that cannot be written is a write failure too
+    assert run_command(["soet-solve", f0_file, "4", "--budget", "0", "-o", bad]) == 73
+    assert run_command(["orbit", worked_file, "--limit", "3", "-o", bad]) == 73
     err = capsys.readouterr().err
-    assert err.count(f"error: cannot write {bad}: ") == 3
+    assert err.count(f"error: cannot write {bad}: ") == 5
+
+    class Full:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    for argv in (["expand", k4], ["orbit", k4], ["ham", k4, "--format", "json"],
+                 ["pipeline", k4, "-o", str(tmp_path / "out")]):
+        assert run_command(argv) == 73, argv
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n", argv
 
 
 def test_worker_fork_failure(worked_file, f0_file, files, monkeypatch, capsys):
@@ -318,7 +332,7 @@ def test_worker_exit_is_exit_71(worked_file):
     assert proc.stderr == "error: worker process exited with code 3\n"
 
 
-def test_json_format(worked_file, files, tmp_path, capsys):
+def test_json_format(worked_file, f0_file, files, tmp_path, capsys):
     code = run_command(["vm-solve-star", worked_file, "4", "--format", "json"])
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
@@ -335,6 +349,14 @@ def test_json_format(worked_file, files, tmp_path, capsys):
     edgeless = files("e3.graph", "simple 3\nvertices a b c\n")
     target = str(tmp_path / "star.graph")
     star = ["--target", target]
+    prism_x = files("prism_x.graph", serialize_graph(k3_expand(prism())))
+    word = files("x0.word", X0 + "\n")
+    f1 = files("f1.graph", serialize_graph(multigraph_from_word(Dow("adcbaebced"))))
+    word1 = files("x1.word", "adcbaebced\n")
+    p3 = files("p3.graph", serialize_graph(path_graph("xyz")))
+    wit = str(tmp_path / "w.txt")
+    assert run_command(["vm-solve", worked_file, k3, "-o", wit]) == 0
+    capsys.readouterr()
     runs = [
         (["ham", k4], 0, {"artifact"}),
         (["ham", pet], 1, set()),
@@ -344,6 +366,18 @@ def test_json_format(worked_file, files, tmp_path, capsys):
         (["vm-solve-star", worked_file, "4"] + star, 0, {"artifact", "subset", "target"}),
         (["vm-solve-star", edgeless, "2"] + star, 1, set()),
         (["vm-solve-star", worked_file, "4", "--budget", "0"] + star, 2, set()),
+        (["soet-solve", f0_file, "4"], 0, {"artifact", "subset"}),
+        (["soet-solve", prism_x, "13"], 1, set()),
+        (["soet-solve", f0_file, "4", "--budget", "0"], 2, set()),
+        (["soet-verify", f0_file, word, "abcd"], 0, set()),
+        (["soet-verify", f1, word1, "abcd"], 1, set()),
+        (["vm-verify", worked_file, k3, wit], 0, set()),
+        (["vm-verify", worked_file, p3, wit], 1, set()),
+        (["orbit", worked_file], 0, {"artifact"}),
+        (["orbit", worked_file, "--limit", "3"], 2, set()),
+        (["expand", k4], 0, {"artifact"}),
+        (["euler", f0_file], 0, {"artifact"}),
+        (["alternance", word], 0, {"artifact"}),
     ]
     for argv, want, fields in runs:
         assert run_command(argv + ["--format", "json"]) == want, argv
