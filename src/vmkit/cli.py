@@ -5,8 +5,9 @@ Exit codes carry the decision: 0 YES, 1 NO, 2 UNKNOWN or budget exhausted,
 started or that exit during a scan, 73 output that cannot be written,
 stdout included.  _EXIT is the one map from a status to its code, and a
 budget that runs out anywhere in a command gives UNKNOWN.  Artifacts go to
-stdout (or the -o target); human diagnostics go to stderr, so redirected
-output stays clean and re-parseable.
+stdout (or the -o target); human diagnostics go to stderr through _note, so
+redirected output stays clean and re-parseable, and a stderr that cannot be
+written changes no exit code.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def _stdout(text):
         raise _WriteError(f"cannot write stdout: {e.strerror}") from None
 
 
+def _note(text):
+    """A diagnostic line on stderr; one that cannot be written is dropped."""
+    try:
+        print(text, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _graph(path, cls):
     G = parse_graph(_read(path))
     if not isinstance(G, cls):
@@ -150,11 +159,11 @@ def _emit(args, artifact, status, detail="", extras=None):
         blob = artifact if artifact is not None else ""
     if args.out:
         _write(args.out, blob)
-        print(f"wrote {args.out}", file=sys.stderr)
+        _note(f"wrote {args.out}")
     elif blob:
         _stdout(blob)
     if detail:
-        print(detail, file=sys.stderr)
+        _note(detail)
     return _EXIT[status]
 
 
@@ -246,7 +255,7 @@ def cmd_vm_solve_star(args):
     target = serialize_graph(reduce_starvm_to_isovm(G, args.k)[1])
     if args.target:
         _write(args.target, target)
-        print(f"wrote {args.target}", file=sys.stderr)
+        _note(f"wrote {args.target}")
     return _report(args, dec, lambda witness: _vm_witness(witness, target=target))
 
 
@@ -387,16 +396,16 @@ def run_command(argv) -> int:
         except ResourceLimitError as e:  # inside the outer try, so a failed write exits 73
             return _emit(args, None, "unknown", str(e))
     except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+        _note(f"usage error: {e}")
         return 64
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _note(f"error: {e}")
         return 65
     except WorkerError as e:
-        print(f"error: {e.strerror}", file=sys.stderr)
+        _note(f"error: {e.strerror}")
         return 71
     except _WriteError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _note(f"error: {e}")
         return 73
 
 

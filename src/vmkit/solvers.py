@@ -14,9 +14,15 @@ equivalence toolkit rather than something established here, so the test
 suite revalidates it against an unrestricted breadth-first oracle
 (vertex_minor_closure) on every small graph before it is trusted at size.
 
-One subset scan serves both isomorphic deciders: star vertex-minor search
-is ISO-VERTEXMINOR with the star on k vertices as the target, the paper's
-last reduction, so star_vm_decide hands its instance to iso_vm_decide.
+star_vm_decide has two routes.  On a circle graph G, with a word X that
+words.word_of finds, it takes the paper's second reduction backwards: the
+SOET scan of multigraph_from_word(X) finds the least subset, and one
+elimination search on that subset gives the witness.  A NO from this route
+exhausts the word multigraph's SOET candidates, so it rests on the paper's
+theorem, which the tests check against the elimination route.  Otherwise
+star vertex-minor search is ISO-VERTEXMINOR with the star on k vertices as
+the target, the paper's last reduction, and star_vm_decide hands its
+instance to iso_vm_decide.  Both routes give the same answer and witness.
 """
 
 from __future__ import annotations
@@ -26,12 +32,12 @@ from functools import lru_cache, partial
 from itertools import combinations
 
 from .errors import ResourceLimitError
-from .euler import enumerate_euler_tours, find_euler_tour, induced_word
+from .euler import enumerate_euler_tours, find_euler_tour, induced_word, iso_soet_decide
 from .graphs import SimpleGraph, _bits, _reach, _restrict, connected_components, find_isomorphism
 from .lc import DEFAULT_NODE_CAP, _orbit_words, delete_vertex, lc_word_between, local_complement
 from .parallel import orbit_least, scan_subsets
 from .reduction import reduce_starvm_to_isovm, require_connected_cubic
-from .words import alternance_graph
+from .words import alternance_graph, multigraph_from_word, word_of
 
 
 @dataclass(frozen=True)
@@ -262,16 +268,37 @@ class _ElimSearch:
         return children
 
 
+@lru_cache(maxsize=1024)
+def _word_multigraph(G):
+    """multigraph_from_word of a word of G, or None when word_of finds none;
+    kept for the last 1,024 graphs."""
+    X = word_of(G)
+    return None if X is None else multigraph_from_word(X)
+
+
 def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, workers=1) -> Decision:
     """Does some k-subset V' of V(G) carry a star on V' as a vertex-minor?
 
     The paper's last reduction made literal: for k >= 2 this is
     iso_vm_decide(G, H) with H the star on k vertices from
-    reduce_starvm_to_isovm.  The star's LC orbit is the k stars plus K_k,
-    so a survivor is accepted exactly when it is a star or complete, and
-    the least isomorphism maps the center to H's center and the sorted
-    leaves to the leaves in order.  k == 1 is answered directly, without
-    a budget; `deterministic` is accepted and ignored.
+    reduce_starvm_to_isovm, the route taken when G has no word.  The
+    star's LC orbit is the k stars plus K_k, so a survivor is accepted
+    exactly when it is a star or complete, and the least isomorphism maps
+    the center to H's center and the sorted leaves to the leaves in order.
+
+    When G is a circle graph, with a word X that words.word_of finds, the
+    paper's second reduction answers instead: F_X = multigraph_from_word(X)
+    has X as a tour, so F_X has a SOET over V' exactly when G has a star
+    vertex-minor on V'.  iso_soet_decide(F_X, k) scans the candidates, and
+    one elimination search on the subset it reports gives the witness.
+    Both graphs sort their labels, so that subset is the least one the
+    elimination route would accept, and the answer and witness are the
+    same.  A NO from this route exhausts F_X's SOET candidates and rests on
+    the paper's theorem, which the tests check against the elimination
+    route.  `budget` caps each SOET search and the one elimination search,
+    and a subset that runs out of it makes the answer UNKNOWN.  k == 1 is
+    answered directly, without a budget; `deterministic` is accepted and
+    ignored.
     """
     _, H = reduce_starvm_to_isovm(G, k)
     if k == 1:
@@ -279,7 +306,22 @@ def star_vm_decide(G: SimpleGraph, k: int, budget=None, deterministic=False, wor
         ops = tuple(("DEL", u) for u in G.vertices if u != v)
         w = _require_verified(G, H, VmWitness(ops, ((v, H.vertices[0]),)))
         return Decision("yes", (frozenset((v,)), w), "single vertex")
-    return iso_vm_decide(G, H, budget=budget, workers=workers)
+    F = _word_multigraph(G)
+    if F is None:
+        return iso_vm_decide(G, H, budget=budget, workers=workers)
+    try:
+        soet = iso_soet_decide(F, k, budget, workers=workers)
+        if soet is None:
+            return Decision("no", None, "exhausted the SOET candidates of G's word multigraph")
+        # the star is connected; a scan of the one subset names it if the
+        # budget runs out
+        task = partial(_iso_task, G, True, _orbit_buckets(H, DEFAULT_NODE_CAP), budget)
+        found = scan_subsets(task, [sorted(soet[0])], 1)
+    except ResourceLimitError as e:
+        return Decision("unknown", None, str(e))
+    if found is None:
+        raise RuntimeError("internal error: a SOET subset carries no star vertex-minor")
+    return _vm_yes(G, H, *found)
 
 
 def _orbit_buckets(H, cap):
@@ -368,7 +410,12 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
         return Decision("unknown", None, str(e))
     if found is None:
         return Decision("no", None, "exhausted all candidate subsets")
-    subset, (ops, iso) = found
+    return _vm_yes(G, H, *found)
+
+
+def _vm_yes(G, H, subset, payload):
+    """The YES of a subset and its _iso_task payload, witness verified."""
+    ops, iso = payload
     w = _require_verified(G, H, VmWitness(tuple(ops), iso))
     return Decision("yes", (subset, w), f"V' = {{{' '.join(sorted(subset))}}}")
 

@@ -124,6 +124,69 @@ def alternance_graph(X: Dow) -> SimpleGraph:
     return SimpleGraph._from_rows(vertices, tuple(rows))
 
 
+_WORD_WORK = 2_000_000  # gaps visited before word_of gives up
+
+
+def word_of(G: SimpleGraph):
+    """A Dow X with alternance_graph(X) == G, or None.
+
+    The vertices are placed one at a time into a linear word, read
+    cyclically.  With par[g] the parity mask of the letters before gap g, a
+    chord of v from gap j to gap i >= j crosses exactly par[i] ^ par[j], so
+    the placement is valid when that mask is N(v) among the placed letters;
+    later letters never change an alternance already placed.  Each step
+    places the unplaced vertex with the fewest valid placements, and one
+    with none ends the branch.  A word of G that reads as the current word
+    on the placed letters reads as one of the step's placements on one more
+    letter, so the search is complete: G is a circle graph exactly when a
+    word is found.  A prime circle graph has one chord diagram (Bouchet
+    1987), so branches come from its splits.  After _WORD_WORK gaps visited
+    the answer is None, circle graph or not.
+    """
+    rows, n = G.rows, len(G.vertices)
+    work = 0
+    stack = [iter([()])]  # stack[d]: the words left to try with d letters placed
+    while stack:
+        word = next(stack[-1], None)
+        if word is None:
+            stack.pop()
+            continue
+        if len(word) == 2 * n:
+            X = Dow(G.vertices[x] for x in word)
+            return X if alternance_graph(X) == G else None
+        par = [0]  # par[g] for the gaps 0 .. len(word) - 1; gap len(word) is gap 0
+        for x in word[:-1]:
+            par.append(par[-1] ^ 1 << x)
+        placed = sum({1 << x for x in word})
+        best = None
+        for v in range(n):
+            if placed >> v & 1:
+                continue
+            want, seen, count = rows[v] & placed, {}, 0
+            for p in par:  # the pairs of gaps j <= i with par[j] == par[i] ^ want
+                seen[p] = seen.get(p, 0) + 1
+                count += seen.get(p ^ want, 0)
+            work += len(par)
+            if best is None or count < best[0]:
+                best = (count, v, want)
+                if not count:
+                    break
+        if work > _WORD_WORK:
+            return None
+        stack.append(_insertions(word, par, *best[1:]))
+    return None
+
+
+def _insertions(word, par, v, want):
+    """word with v at gaps j <= i, one word for each pair with
+    par[i] ^ par[j] == want, in order of i and then j."""
+    gaps = {}
+    for i, p in enumerate(par):
+        gaps.setdefault(p, []).append(i)
+        for j in gaps.get(p ^ want, ()):
+            yield word[:j] + (v,) + word[j:i] + (v,) + word[i:]
+
+
 def _occurrences(X, v):
     ps = [i for i, x in enumerate(X.letters) if x == v]
     if not ps:

@@ -30,6 +30,7 @@ from vmkit import (
     induced_word,
     is_soet,
     iso_soet_decide,
+    iso_vm_decide,
     labeled_vm_decide,
     lc_orbit,
     local_complement,
@@ -169,7 +170,10 @@ def emit_c5(outdir, workers):
         for k in range(1, min(5, len(F.vertices)) + 1):
             found = iso_soet_decide(F, k, workers=workers)
             d = star_vm_decide(G, k, workers=workers)
-            assert (found is not None) == d.is_yes, (i, k)
+            # the elimination route stays the oracle of the word route
+            e = iso_vm_decide(G, reduce_starvm_to_isovm(G, k)[1], workers=workers)
+            assert (found is not None) == d.is_yes == e.is_yes, (i, k)
+            assert d.witness == e.witness, (i, k)
             pairs += 1
             if found is None:
                 lines.append(f"F{i:02d} k={k} no")

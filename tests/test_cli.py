@@ -32,7 +32,8 @@ from vmkit import (
 )
 from vmkit.cli import run_command
 
-from corpus_helpers import bridged, complete_graph, worked_graph, path_graph, petersen, prism
+from corpus_helpers import (bridged, complete_graph, worked_graph, path_graph, petersen, prism,
+                            wheel5)
 
 X0 = "abcdaebced"
 
@@ -50,6 +51,12 @@ def files(tmp_path):
 @pytest.fixture
 def worked_file(files):
     return files("worked_graph.graph", serialize_graph(worked_graph()))
+
+
+@pytest.fixture
+def w5_file(files):
+    # not a circle graph, so its star step scans by elimination
+    return files("w5.graph", serialize_graph(wheel5()))
 
 
 @pytest.fixture
@@ -294,22 +301,29 @@ def test_write_failures(files, worked_file, f0_file, tmp_path, monkeypatch, caps
         err = capsys.readouterr().err
         assert err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n", argv
 
+    # a diagnostic that cannot be written leaves the outcome's exit code
+    monkeypatch.setattr(sys, "stderr", Full())
+    out = tmp_path / "f.graph"
+    assert run_command(["expand", k4, "-o", str(out)]) == 0
+    assert parse_graph(out.read_text()) == k3_expand(complete_graph("abcd"))
+    assert run_command(["ham", os.devnull + ".missing"]) == 65
 
-def test_worker_fork_failure(worked_file, f0_file, files, monkeypatch, capsys):
+
+def test_worker_fork_failure(worked_file, w5_file, f0_file, files, monkeypatch, capsys):
     def no_fork(*args, **kwargs):
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     k3 = files("k3.graph", serialize_graph(complete_graph("xyz")))
-    for argv in (["vm-solve", worked_file, k3], ["vm-solve-star", worked_file, "4"],
+    for argv in (["vm-solve", worked_file, k3], ["vm-solve-star", w5_file, "4"],
                  ["soet-solve", f0_file, "3"]):
         assert run_command(argv + ["--workers", "2"]) == 71
         err = capsys.readouterr().err
         assert err == f"error: cannot start 2 workers: {os.strerror(errno.EAGAIN)}\n"
 
 
-def test_worker_exit_is_exit_71(worked_file):
+def test_worker_exit_is_exit_71(w5_file):
     # in a child interpreter with a timeout, so that a scan that waits for
     # the dead worker fails here instead of hanging the suite
     script = (
@@ -325,7 +339,7 @@ def test_worker_exit_is_exit_71(worked_file):
         "sys.exit(run_command(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vmkit.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script, "vm-solve-star", worked_file, "4",
+    proc = subprocess.run([sys.executable, "-c", script, "vm-solve-star", w5_file, "4",
                            "--workers", "2"], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 71, proc.stderr

@@ -30,6 +30,7 @@ from vmkit import (
     lc_word_between,
     local_complement,
     multigraph_from_word,
+    reduce_starvm_to_isovm,
     star_vm_decide,
     verify_vm_witness,
     vertex_minor_closure,
@@ -409,11 +410,52 @@ def test_elimination_tree_is_pinned(monkeypatch):
 
     monkeypatch.setattr(solvers._ElimSearch, "run", counted)
     G = _circle_of_k4_expansion()
-    for decide, want in ((lambda: star_vm_decide(G, 8), [3156, 1223, 88]),
+    star = reduce_starvm_to_isovm(G, 8)[1]  # the elimination route of the star step
+    for decide, want in ((lambda: iso_vm_decide(G, star), [3156, 1223, 88]),
                          (lambda: iso_vm_decide(G, wheel5()), [27657, 10679, 190])):
         total[:] = [0, 0, 0]
         decide()
         assert total == want
+
+
+def _word_route_pairs():
+    """(G, k) for the corpus circle graphs at 2 <= k <= 5, K4's expansion at
+    every k >= 2 and the prism's at k = 12 and 13."""
+    pairs = [(G, k) for G in _corpus_circle_graphs()
+             for k in range(2, min(5, len(G.vertices)) + 1)]
+    G = _circle_of_k4_expansion()
+    pairs += [(G, k) for k in range(2, len(G.vertices) + 1)]
+    G = alternance_graph(induced_word(find_euler_tour(k3_expand(prism()))))
+    return pairs + [(G, 12), (G, 13)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_word_route_agrees_with_elimination(workers):
+    # a circle graph's star step is a SOET scan of its word's multigraph; the
+    # elimination route gives the same answer, subset and witness
+    pairs = _word_route_pairs()
+    yes = 0
+    for G, k in pairs:
+        assert solvers._word_multigraph(G) is not None, G
+        d = star_vm_decide(G, k, workers=workers)
+        e = iso_vm_decide(G, reduce_starvm_to_isovm(G, k)[1], workers=workers)
+        assert (d.status, d.witness) == (e.status, e.witness), (G, k)
+        yes += d.is_yes
+    assert (len(pairs), yes) == (165, 62)
+
+
+def test_budgeted_word_route_is_the_unbudgeted_yes_or_unknown_no_later():
+    G = alternance_graph(induced_word(find_euler_tour(k3_expand(prism()))))
+    want = star_vm_decide(G, 12)
+    seen = set()
+    for budget in (0, 10, 100, 1000, 10_000):
+        d = star_vm_decide(G, 12, budget=budget)
+        seen.add(d.status)
+        if d.is_unknown:
+            assert open_subset(d.detail) <= tuple(sorted(want.witness[0])), budget
+        else:
+            assert d == want, budget
+    assert seen == {"yes", "unknown"}
 
 
 def test_oracle_matches_labeled_elimination():

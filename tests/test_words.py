@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,11 @@ from vmkit import (
     SimpleGraph,
     alternance_graph,
     alternances,
+    find_euler_tour,
     induced_subword,
+    induced_word,
+    k3_expand,
+    lc_orbit,
     local_complement,
     delete_vertex,
     mirror,
@@ -15,7 +21,18 @@ from vmkit import (
     word_delete,
     word_local_complement,
 )
-from corpus_helpers import all_dow_classes, induced, worked_graph
+from vmkit.words import word_of
+
+from corpus_helpers import (
+    all_dow_classes,
+    all_four_regular_multigraphs,
+    all_labeled_graphs,
+    complete_graph,
+    induced,
+    petersen,
+    prism,
+    worked_graph,
+)
 
 
 X0 = Dow.from_text("adcbaebced")
@@ -137,3 +154,49 @@ def test_word_operations_commute_with_alternance_graph(X, data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(letters), max_size=len(letters)))
     W = {v for v, k in zip(letters, keep) if k}
     assert alternance_graph(induced_subword(X, W)) == induced(G, W)
+
+
+def _cube():
+    return SimpleGraph("abcdefgh", [tuple(e) for e in
+                                    "ab bc cd da ef fg gh he ae bf cg dh".split()])
+
+
+def _wheel(n):
+    rim = [f"w{i}" for i in range(1, n + 1)]
+    return SimpleGraph(["w0"] + rim, [("w0", x) for x in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def _bw3():
+    """W3 with each rim edge subdivided: the centre c sees x1, x2, x3 of the
+    6-cycle x1 y1 x2 y2 x3 y3."""
+    rim = ["x1", "y1", "x2", "y2", "x3", "y3"]
+    return SimpleGraph(["c"] + rim, [("c", "x1"), ("c", "x2"), ("c", "x3")]
+                       + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def _has_checked_word(G):
+    X = word_of(G)
+    return X is not None and alternance_graph(X) == G
+
+
+def test_word_of_finds_a_word_of_every_circle_graph():
+    for R in (complete_graph("abcd"), prism(), _cube(), petersen()):
+        assert _has_checked_word(alternance_graph(induced_word(find_euler_tour(k3_expand(R)))))
+    for n in range(1, 6):
+        for F in all_four_regular_multigraphs(n):
+            assert _has_checked_word(alternance_graph(induced_word(find_euler_tour(F))))
+    rng = random.Random(29)
+    for _ in range(300):
+        letters = [f"x{i}" for i in range(rng.randint(0, 25))] * 2
+        rng.shuffle(letters)
+        assert _has_checked_word(alternance_graph(Dow(letters)))
+    # no graph on five vertices has W5, W7 or BW3 as a vertex-minor
+    assert all(map(_has_checked_word, all_labeled_graphs("abcde")))
+
+
+def test_word_of_refuses_the_circle_graph_obstructions():
+    # Bouchet (1994): a graph is a circle graph exactly when it has no
+    # vertex-minor isomorphic to W5, W7 or BW3
+    for G in (_wheel(5), _wheel(7), _bw3()):
+        assert word_of(G) is None
+    assert all(word_of(M) is None for M in lc_orbit(_wheel(5)))
