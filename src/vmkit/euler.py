@@ -371,9 +371,8 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     (edge 0 first) and prunes on the visit-word constraints, on Fleury's
     bridge rule, and on reachability of the next forced visit.  Every unused
     edge is reachable from the current vertex before each step, so a step
-    prev -> cur strands no edge exactly when it took a loop, left prev
-    without unused edges, or else when cur still reaches prev over unused
-    edges.
+    prev -> cur strands no edge exactly when it left prev without unused
+    edges, or else when cur still reaches prev over unused edges.
 
     The walk tries edges in ascending id order, so its first hit is the
     least SOET in lexicographic order of edge_seq among those leaving its
@@ -395,6 +394,13 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     exhausts every vertex sequence.  `budget` caps the extension steps of
     both walks together; exceeding it raises ResourceLimitError, leaving
     the question open.
+
+    The walk runs on vertex positions, with V' and the first-half visits as
+    masks, and both reachability tests are graphs._reach over free: free[i]
+    has bit j while an unused edge joins i to j (a loop when i == j).  The
+    twin rule uses each parallel class in ascending id order, so the class
+    joins its ends exactly while its greatest edge is unused, and only that
+    edge clears and restores their bits.
     """
     Vp = _require_subset(F, vertex_subset)
     k = len(Vp)
@@ -402,61 +408,44 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
     if _soet_quick_no(F, Vp):
         return None
 
-    S = F.simple_support()
-    req = {v: S.neighbors(v) & Vp for v in Vp}  # distinct neighbours inside V'
-
+    vp = sum(1 << F._index[v] for v in Vp)  # V' over F's positions
     L = F.n_edges
-    ends = F.edges
-    # (edge id, far end) pairs at each vertex, edge ids ascending
-    nbrs = {v: [(e, ends[e][1] if ends[e][0] == v else ends[e][0])
-                for e in F.incident(v)] for v in F.vertices}
+    ends = [(F._index[a], F._index[b]) for a, b in F.edges]
+    # (edge id, far end) pairs at each position, edge ids ascending
+    nbrs = [[(e, ends[e][1] if ends[e][0] == i else ends[e][0]) for e in F.incident(v)]
+            for i, v in enumerate(F.vertices)]
     # each edge's next-lesser parallel twin, or L: a slot that stays used
     twin = [L] * L
     last = {}
     for e, pair in enumerate(ends):
         twin[e] = last.get(pair, L)
         last[pair] = e
+    top = set(last.values())  # the greatest edge of each parallel class
     nodes = 0
-
-    def reaches(cur, targets, blocked):
-        # can cur reach a target over unused edges without passing `blocked`
-        seen = {cur}
-        stack = [cur]
-        while stack:
-            for eid, y in nbrs[stack.pop()]:
-                if used[eid]:
-                    continue
-                if y in targets:
-                    return True
-                if y not in blocked and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
 
     def rest_connected(cur):
         prev = vseq[-2]
-        return (prev == cur or all(used[e] for e, _ in nbrs[prev])
-                or reaches(cur, {prev}, ()))
+        return not free[prev] or _reach(free, 1 << cur, 1 << prev) >> prev & 1
 
     def gap_ok(cur):
         # can the next forced V' arrival be reached without another V' visit
         done = len(visits)
         if done >= 2 * k:
             return True
-        targets = (Vp - firstseen) if done < k else {visits[done - k]}
-        return reaches(cur, targets, Vp)
+        targets = vp & ~first if done < k else 1 << visits[done - k]
+        return _reach(free, free[cur], targets, vp) & targets
 
     def admissible(nxt):
         pos = len(visits)
         if pos < k:
-            if nxt in firstseen:
+            if first >> nxt & 1:
                 return False
             # V' adjacency is symmetric, so testing letters 1..k-2 covers the ends
-            return pos < 2 or req[visits[pos - 1]] <= {visits[pos - 2], nxt}
+            return pos < 2 or not F.rows[visits[pos - 1]] & vp & ~(1 << visits[pos - 2] | 1 << nxt)
         return visits[pos - k] == nxt
 
     def walk(anchor):
-        nonlocal nodes
+        nonlocal nodes, first
         levels = [iter(nbrs[anchor][:1])]  # levels[i]: the steps left at step i
         while True:
             for eid, nxt in levels[-1]:
@@ -467,21 +456,25 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
                     raise ResourceLimitError(
                         f"SOET search exceeded {budget} steps", count=nodes
                     )
-                if nxt in Vp and not admissible(nxt):
+                if vp >> nxt & 1 and not admissible(nxt):
                     continue
+                cur = vseq[-1]
                 used[eid] = True
+                if eid in top:
+                    free[cur] &= ~(1 << nxt)
+                    free[nxt] &= ~(1 << cur)
                 eseq.append(eid)
                 vseq.append(nxt)
-                if nxt in Vp:
+                if vp >> nxt & 1:
                     if len(visits) < k:
-                        firstseen.add(nxt)
+                        first |= 1 << nxt
                     visits.append(nxt)
                 if not (rest_connected(nxt) and gap_ok(nxt)):
                     levels.append(iter(()))  # pruned: the step is taken back next
                 elif len(eseq) < L:
                     levels.append(iter(nbrs[nxt]))
                 else:  # even degrees close the walk at the anchor
-                    return EulerianTour(F, tuple(vseq[:-1]), tuple(eseq))
+                    return EulerianTour(F, tuple(F.vertices[i] for i in vseq[:-1]), tuple(eseq))
                 break
             else:  # no step left here: take back the one that led here
                 levels.pop()
@@ -489,19 +482,23 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
                     return None
                 eid = eseq.pop()
                 nxt = vseq.pop()
-                if nxt in Vp:
+                if vp >> nxt & 1:
                     visits.pop()
                     if len(visits) < k:
-                        firstseen.discard(nxt)
+                        first &= ~(1 << nxt)
                 used[eid] = False
+                if eid in top:
+                    free[vseq[-1]] |= 1 << nxt
+                    free[nxt] |= 1 << vseq[-1]
 
     hits = []
     for anchor in dict.fromkeys(ends[0]):
         used = [False] * L + [True]
+        free = [r | F.loops & 1 << i for i, r in enumerate(F.rows)]
         vseq = [anchor]
         eseq = []
         visits = []
-        firstseen = set()
+        first = 0
         U = walk(anchor)
         if U is None:
             return None  # the walk exhausted every tour from its anchor

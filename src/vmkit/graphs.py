@@ -6,6 +6,7 @@ labels and label-pair edges are their public face.  Simple graphs are
 immutable and hashable.  Multigraphs carry dense integer edge ids assigned
 in input order, and those ids are identity-bearing (tours reference them);
 their rows are those of the simple support, and a loop mask sits beside them.
+_reach is the package's one reachability search over such rows.
 """
 
 from __future__ import annotations
@@ -37,9 +38,13 @@ def _index_of(vertices):
     return {v: i for i, v in enumerate(vertices)}
 
 
-def _reach(rows, seed, goal=-1):
-    """Mask of the vertices joined to the seed mask, or less once goal is in it."""
-    comp = frontier = seed
+def _reach(rows, seed, goal=-1, wall=0):
+    """Mask of the vertices joined to the seed mask, or less once goal is in it.
+
+    Vertices of the wall mask, seeds included, join it but are not passed through.
+    """
+    comp = seed
+    frontier = seed & ~wall
     while frontier and goal & ~comp:
         nxt = 0
         while frontier:
@@ -48,6 +53,7 @@ def _reach(rows, seed, goal=-1):
             nxt |= rows[b.bit_length() - 1]
         frontier = nxt & ~comp
         comp |= frontier
+        frontier &= ~wall
     return comp
 
 
@@ -198,10 +204,6 @@ class MultiGraph:
             a, b = self.edges[eid]
             d += 2 if a == b else 1
         return d
-
-    def simple_support(self):
-        """Underlying simple graph: one edge per adjacent distinct pair."""
-        return SimpleGraph._from_rows(self.vertices, self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, MultiGraph):

@@ -262,7 +262,7 @@ def emit_c8(outdir, workers):
     pool.append(lam)
     tri = {}
     for i, F in enumerate(pool):
-        S = F.simple_support()
+        S = SimpleGraph(F.vertices, {e for e in F.edges if e[0] != e[1]})  # the simple support
         found = [
             c
             for c in combinations(S.vertices, 3)

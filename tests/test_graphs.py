@@ -1,5 +1,6 @@
 import pickle
-from collections import Counter
+import random
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 import pytest
@@ -72,7 +73,8 @@ def test_multigraph_edge_ids_and_degrees():
     assert F.incident("a") == (0, 1, 2)
     assert F.incident("b") == (0, 1)
     assert F.degree("a") == 4 and F.degree("b") == 2
-    assert F.simple_support() == SimpleGraph("ab", [("a", "b")])
+    S = SimpleGraph("ab", [("a", "b")])
+    assert (F.vertices, F.rows) == (S.vertices, S.rows)
     assert F.loops == 0b01
     assert is_regular(F, 4) is False
     with pytest.raises(ValueError, match="'z' is not a vertex"):
@@ -88,7 +90,7 @@ def test_multigraph_rows_and_loops_match_the_edges():
     for F in corpus + expansions + traced:
         # the support as it was built from the edge list
         support = SimpleGraph(F.vertices, {e for e in F.edges if e[0] != e[1]})
-        assert F.simple_support() == support, F
+        assert (F.vertices, F.rows) == (support.vertices, support.rows), F
         pos = {v: i for i, v in enumerate(F.vertices)}
         assert F.loops == sum(1 << pos[a] for a in {a for a, b in F.edges if a == b}), F
         back = pickle.loads(pickle.dumps(F))
@@ -110,6 +112,50 @@ def test_connected_components():
         frozenset("cd"),
         frozenset("e"),
     }
+
+
+def _bfs_reach(rows, seed, wall):
+    """The vertices reached from the seed vertices over rows, expanding none in wall."""
+    reached = {i for i in range(len(rows)) if seed >> i & 1}
+    queue = deque(i for i in sorted(reached) if not wall >> i & 1)
+    while queue:
+        x = queue.popleft()
+        for y in range(len(rows)):
+            if rows[x] >> y & 1 and y not in reached:
+                reached.add(y)
+                if not wall >> y & 1:
+                    queue.append(y)
+    return reached
+
+
+def test_reach_matches_a_set_based_search():
+    # random symmetric rows, loops included as the SOET walk's unused-edge
+    # rows have them; goals that are reached and goals that are not
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        rows = [0] * n
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.3:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        full = (1 << n) - 1
+        seed = rng.randint(1, full)
+        # no wall (the elimination kernel's component test), one that may
+        # hold seeds, and one beside the seeds
+        wall = rng.choice((0, rng.randint(0, full), rng.randint(0, full) & ~seed))
+        goal = rng.choice((-1, 1 << rng.randrange(n), rng.randint(1, full)))
+        mask = sum(1 << i for i in _bfs_reach(rows, seed, wall))
+        got = graphs._reach(rows, seed, goal, wall)
+        if goal & ~mask:  # no goal, or one not reached: the whole search runs
+            assert got == mask, (rows, seed, goal, wall)
+        else:  # a goal that is reached may cut the search short
+            assert got & ~mask == 0 and got & (seed | goal) == seed | goal
+        kinds["no wall" if not wall else "seed in wall" if seed & wall else "wall"] += 1
+        kinds["no goal" if goal == -1 else "not reached" if goal & ~mask else "reached"] += 1
+    assert min(kinds.values()) > 300, kinds
 
 
 def test_find_isomorphism_basics():
@@ -231,7 +277,8 @@ def test_multigraph_automorphisms_keep_multiplicities_and_loops():
     # parallel edges and loops cut the support's group down
     F = MultiGraph("abc", [("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"),
                            ("a", "a")])
-    assert len(automorphisms(F.simple_support())) == 5
+    support = SimpleGraph(F.vertices, {e for e in F.edges if e[0] != e[1]})
+    assert F.rows == support.rows and len(automorphisms(support)) == 5
     assert automorphisms(F) == ()
 
 
