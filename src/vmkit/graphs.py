@@ -227,8 +227,20 @@ class MultiGraph:
 
 def _restrict(rows, keep):
     """Rows of the subgraph induced on the ascending positions keep."""
-    new = {p: 1 << a for a, p in enumerate(keep)}
-    return tuple(sum(new.get(j, 0) for j in _bits(rows[p])) for p in keep)
+    new = [0] * len(rows)  # new[p]: the bit of position p among the kept
+    mask = 0
+    for a, p in enumerate(keep):
+        new[p] = 1 << a
+        mask |= 1 << p
+    out = []
+    for p in keep:
+        r, x = rows[p] & mask, 0
+        while r:
+            b = r & -r
+            r ^= b
+            x |= new[b.bit_length() - 1]
+        out.append(x)
+    return tuple(out)
 
 
 def is_regular(F, d: int) -> bool:

@@ -23,6 +23,10 @@ theorem, which the tests check against the elimination route.  Otherwise
 star vertex-minor search is ISO-VERTEXMINOR with the star on k vertices as
 the target, the paper's last reduction, and star_vm_decide hands its
 instance to iso_vm_decide.  Both routes give the same answer and witness.
+
+iso_vm_decide says NO without a scan when G is a circle graph and H is not,
+since circle graphs are closed under vertex-minors.  word_of says "no word"
+only after an exhausted search; when it gives up, the scans run instead.
 """
 
 from __future__ import annotations
@@ -270,9 +274,12 @@ class _ElimSearch:
 
 @lru_cache(maxsize=1024)
 def _word_multigraph(G):
-    """multigraph_from_word of a word of G, or None when word_of finds none;
-    kept for the last 1,024 graphs."""
-    X = word_of(G)
+    """multigraph_from_word of a word of G, or None when G is not a circle
+    graph or word_of gives up; kept for the last 1,024 graphs."""
+    try:
+        X = word_of(G)
+    except ResourceLimitError:
+        return None
     return None if X is None else multigraph_from_word(X)
 
 
@@ -375,8 +382,15 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
                   workers=1, orbit_cap=DEFAULT_NODE_CAP) -> Decision:
     """Does G have a vertex-minor isomorphic to H?
 
-    The |V(H)|-subsets of G are scanned in lexicographic order, only those
-    inside one component of G when H is connected.  Each gets the
+    When word_of finds that H is not a circle graph and G has a word, the
+    answer is NO without a scan: local complementation and deletion act on
+    a word of G as word_local_complement and word_delete, so every
+    vertex-minor of a circle graph is a circle graph.  That NO exhausts H's
+    chord placements and rests on this closure, and it needs no budget, no
+    orbit and no worker.  If word_of gives up on H, the scan runs.
+
+    Otherwise the |V(H)|-subsets of G are scanned in lexicographic order,
+    only those inside one component of G when H is connected.  Each gets the
     elimination search, and a leaf survivor S is accepted when S is
     isomorphic to some member of the local complementation orbit of H,
     computed once up front.  That is equivalent to S's own orbit meeting
@@ -394,6 +408,13 @@ def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=Fal
         raise ValueError("H must have at least one vertex")
     if len(H.vertices) > len(G.vertices):
         raise ValueError("H must not have more vertices than G")
+    try:
+        no_word = word_of(H) is None
+    except ResourceLimitError:  # word_of gave up on H: the scan answers
+        no_word = False
+    if no_word and _word_multigraph(G) is not None:
+        return Decision("no", None, "G is a circle graph and H is not, and circle "
+                        "graphs are closed under vertex-minors")
     try:
         buckets = _orbit_buckets(H, orbit_cap)
     except ResourceLimitError as e:

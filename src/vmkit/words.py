@@ -9,6 +9,7 @@ word.  Local complementation, vertex deletion, and induced subgraphs all have
 word-level counterparts that commute with the alternance map.
 """
 
+from .errors import ResourceLimitError
 from .graphs import MultiGraph, SimpleGraph, _index_of
 
 
@@ -128,7 +129,8 @@ _WORD_WORK = 2_000_000  # gaps visited before word_of gives up
 
 
 def word_of(G: SimpleGraph):
-    """A Dow X with alternance_graph(X) == G, or None.
+    """A Dow X with alternance_graph(X) == G, or None when G is not a circle
+    graph.
 
     The vertices are placed one at a time into a linear word, read
     cyclically.  With par[g] the parity mask of the letters before gap g, a
@@ -139,9 +141,11 @@ def word_of(G: SimpleGraph):
     with none ends the branch.  A word of G that reads as the current word
     on the placed letters reads as one of the step's placements on one more
     letter, so the search is complete: G is a circle graph exactly when a
-    word is found.  A prime circle graph has one chord diagram (Bouchet
-    1987), so branches come from its splits.  After _WORD_WORK gaps visited
-    the answer is None, circle graph or not.
+    word is found, and None is returned only after every placement was
+    tried.  A prime circle graph has one chord diagram (Bouchet 1987), so
+    branches come from its splits.  After _WORD_WORK gaps visited the search
+    gives up with ResourceLimitError, circle graph or not; a full word whose
+    alternance graph is not G is a bug and raises RuntimeError.
     """
     rows, n = G.rows, len(G.vertices)
     work = 0
@@ -153,7 +157,9 @@ def word_of(G: SimpleGraph):
             continue
         if len(word) == 2 * n:
             X = Dow(G.vertices[x] for x in word)
-            return X if alternance_graph(X) == G else None
+            if alternance_graph(X) != G:
+                raise RuntimeError("internal error: a placed word's alternance graph is not G")
+            return X
         par = [0]  # par[g] for the gaps 0 .. len(word) - 1; gap len(word) is gap 0
         for x in word[:-1]:
             par.append(par[-1] ^ 1 << x)
@@ -172,7 +178,7 @@ def word_of(G: SimpleGraph):
                 if not count:
                     break
         if work > _WORD_WORK:
-            return None
+            raise ResourceLimitError(f"word search exceeded {_WORD_WORK} gap visits", count=work)
         stack.append(_insertions(word, par, *best[1:]))
     return None
 

@@ -50,9 +50,22 @@ def bridged():
     return SimpleGraph("abcdefghij", edges)
 
 
-def wheel5():
-    rim = ["w1", "w2", "w3", "w4", "w5"]
+def wheel(n):
+    """The hub w0 joined to each vertex of the rim cycle w1 ... wn."""
+    rim = [f"w{i}" for i in range(1, n + 1)]
     return SimpleGraph(["w0"] + rim, [("w0", x) for x in rim] + list(zip(rim, rim[1:] + rim[:1])))
+
+
+def wheel5():
+    return wheel(5)
+
+
+def bw3():
+    """W3 with each rim edge subdivided: the centre c sees x1, x2, x3 of the
+    6-cycle x1 y1 x2 y2 x3 y3."""
+    rim = ["x1", "y1", "x2", "y2", "x3", "y3"]
+    return SimpleGraph(["c"] + rim, [("c", "x1"), ("c", "x2"), ("c", "x3")]
+                       + list(zip(rim, rim[1:] + rim[:1])))
 
 
 def prism():

@@ -16,9 +16,11 @@ import vmkit
 from vmkit import (
     Dow,
     SimpleGraph,
+    alternance_graph,
     multigraph_from_word,
     canonical_tour,
     find_euler_tour,
+    induced_word,
     k3_expand,
     parse_bundle,
     parse_graph,
@@ -321,6 +323,22 @@ def test_worker_fork_failure(worked_file, w5_file, f0_file, files, monkeypatch, 
         assert run_command(argv + ["--workers", "2"]) == 71
         err = capsys.readouterr().err
         assert err == f"error: cannot start 2 workers: {os.strerror(errno.EAGAIN)}\n"
+
+
+def test_vm_solve_needs_no_worker_for_a_target_that_is_not_a_circle_graph(
+        files, w5_file, monkeypatch, capsys):
+    # a circle graph's vertex-minors are circle graphs and W5 is not one, so
+    # the NO needs no fork and no budget
+    def no_fork(*args, **kwargs):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    G = alternance_graph(induced_word(find_euler_tour(k3_expand(complete_graph("abcd")))))
+    g = files("k4_circle.graph", serialize_graph(G))
+    assert run_command(["vm-solve", g, w5_file, "--workers", "2", "--budget", "0"]) == 1
+    assert capsys.readouterr() == ("", "G is a circle graph and H is not, and circle "
+                                   "graphs are closed under vertex-minors\n")
 
 
 def test_worker_exit_is_exit_71(w5_file):

@@ -158,6 +158,27 @@ def test_reach_matches_a_set_based_search():
     assert min(kinds.values()) > 300, kinds
 
 
+def test_restrict_matches_a_set_based_restriction():
+    # random symmetric rows; keep empty, full, contiguous or not
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for _ in range(2000):
+        n = rng.randint(0, 12)
+        rows = [0] * n
+        for i, j in combinations(range(n), 2):
+            if rng.random() < 0.4:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        keep = rng.choice((sorted(rng.sample(range(n), rng.randint(0, n))), list(range(n)), []))
+        pos = {p: a for a, p in enumerate(keep)}
+        want = tuple(sum(1 << pos[j] for j in range(n) if rows[p] >> j & 1 and j in pos)
+                     for p in keep)
+        assert graphs._restrict(tuple(rows), keep) == want, (rows, keep)
+        kinds["empty" if not keep else "full" if len(keep) == n
+              else "contiguous" if keep[-1] - keep[0] == len(keep) - 1 else "gaps"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
 def test_find_isomorphism_basics():
     C5a = cycle_graph("abcde")
     C5b = cycle_graph("vwxyz")

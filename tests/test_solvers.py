@@ -1,12 +1,15 @@
 """Decider tests: witness replay, closure agreement, determinism, budgets."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vmkit.solvers as solvers
+import vmkit.words as words
 from vmkit.lc import _lc_rows
+from vmkit.parallel import orbit_least, scan_subsets
 
 from vmkit import (
     Decision,
@@ -27,6 +30,7 @@ from vmkit import (
     iso_vm_decide,
     k3_expand,
     labeled_vm_decide,
+    lc_orbit,
     lc_word_between,
     local_complement,
     multigraph_from_word,
@@ -41,6 +45,7 @@ from corpus_helpers import (
     all_four_regular_multigraphs,
     all_labeled_graphs,
     bridged,
+    bw3,
     complete_graph,
     cycle_graph,
     open_subset,
@@ -49,8 +54,10 @@ from corpus_helpers import (
     petersen,
     prism,
     star_graph,
+    wheel,
     wheel5,
 )
+from test_parallel import _iso_scan, _vm
 
 C5 = cycle_graph("abcde")
 K3 = complete_graph("xyz")
@@ -394,6 +401,10 @@ def test_iso_decide_witnesses_are_pinned(make_g, H, subset, ops, iso,
     assert d == Decision("yes", (subset, VmWitness(ops, iso)), detail)
 
 
+CIRCLE_NO = Decision("no", None, "G is a circle graph and H is not, and circle "
+                     "graphs are closed under vertex-minors")
+
+
 def test_elimination_tree_is_pinned(monkeypatch):
     # a kernel edit may change the search tree while the witnesses hold;
     # (nodes, memo states, runs) summed over each decision's searches pin it
@@ -411,11 +422,73 @@ def test_elimination_tree_is_pinned(monkeypatch):
     monkeypatch.setattr(solvers._ElimSearch, "run", counted)
     G = _circle_of_k4_expansion()
     star = reduce_starvm_to_isovm(G, 8)[1]  # the elimination route of the star step
-    for decide, want in ((lambda: iso_vm_decide(G, star), [3156, 1223, 88]),
-                         (lambda: iso_vm_decide(G, wheel5()), [27657, 10679, 190])):
-        total[:] = [0, 0, 0]
-        decide()
-        assert total == want
+    iso_vm_decide(G, star)
+    assert total == [3156, 1223, 88]
+    # iso_vm_decide answers W5 without a search, so the scan it skips pins
+    # the tree of a scan that never stops early
+    task, subsets = _iso_scan(G, wheel5())
+    total[:] = [0, 0, 0]
+    assert scan_subsets(task, orbit_least(G, subsets), 1) is None
+    assert total == [27657, 10679, 190]
+    total[:] = [0, 0, 0]
+    assert iso_vm_decide(G, wheel5()) == CIRCLE_NO
+    assert total == [0, 0, 0]
+
+
+def test_circle_graphs_have_no_vertex_minor_that_is_not_one():
+    # the NO without a scan is the scan's NO: W5, W7, BW3 and the members of
+    # W5's orbit are not circle graphs (Bouchet 1994)
+    rng = random.Random(33)
+    graphs = [_circle_of_k4_expansion()]
+    for _ in range(30):
+        letters = [f"x{i}" for i in range(rng.randint(7, 10))] * 2
+        rng.shuffle(letters)
+        graphs.append(alternance_graph(Dow(letters)))
+    targets = [wheel(5), wheel(7), bw3(), *sorted(lc_orbit(wheel(5)), key=repr)]
+    for G in graphs:
+        scanned = []  # a scan's answer depends only on H's isomorphism class
+        for H in targets:
+            if len(H.vertices) > len(G.vertices):
+                continue
+            assert iso_vm_decide(G, H) == CIRCLE_NO, (G, H)
+            if all(find_isomorphism(H, M) is None for M in scanned):
+                assert scan_subsets(*_iso_scan(G, H), 1) is None, (G, H)
+                scanned.append(H)
+    # a G that is not a circle graph scans; W7 is a least obstruction, so it
+    # has no W5 vertex-minor
+    W5 = wheel5()
+    pendant = SimpleGraph([*W5.vertices, "x"], [*W5.sorted_edges(), ("w1", "x")])
+    got = [iso_vm_decide(G, W5) for G in (W5, wheel(7), pendant)]
+    assert [d.status for d in got] == ["yes", "no", "yes"]
+    assert got[1].detail == "exhausted all candidate subsets"
+    for G, d in zip((W5, wheel(7), pendant), got):
+        assert d.witness == _vm(scan_subsets(*_iso_scan(G, W5), 1)), G
+
+
+def test_word_of_gives_up_with_a_resource_limit(monkeypatch):
+    G = alternance_graph(induced_word(find_euler_tour(k3_expand(petersen()))))
+    want = iso_vm_decide(G, reduce_starvm_to_isovm(G, 2)[1])  # the elimination route
+    monkeypatch.setattr(words, "_WORD_WORK", 10)
+    with pytest.raises(ResourceLimitError):
+        words.word_of(G)
+    routes = []
+
+    def counted(*args, **kwargs):
+        routes.append(args)
+        return iso_vm_decide(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "iso_vm_decide", counted)
+    solvers._word_multigraph.cache_clear()
+    try:
+        # a graph whose word search gives up takes the elimination route
+        assert solvers._word_multigraph(G) is None
+        assert star_vm_decide(G, 2) == want
+        assert len(routes) == 1
+        # and an H whose word search gives up is scanned, not answered NO
+        d = iso_vm_decide(cycle_graph("abcdefg"), wheel5())
+        assert d == Decision("no", None, "exhausted all candidate subsets")
+    finally:
+        solvers._word_multigraph.cache_clear()
 
 
 def _word_route_pairs():

@@ -21,16 +21,19 @@ from vmkit import (
     word_delete,
     word_local_complement,
 )
+from vmkit import words
 from vmkit.words import word_of
 
 from corpus_helpers import (
     all_dow_classes,
     all_four_regular_multigraphs,
     all_labeled_graphs,
+    bw3,
     complete_graph,
     induced,
     petersen,
     prism,
+    wheel,
     worked_graph,
 )
 
@@ -161,19 +164,6 @@ def _cube():
                                     "ab bc cd da ef fg gh he ae bf cg dh".split()])
 
 
-def _wheel(n):
-    rim = [f"w{i}" for i in range(1, n + 1)]
-    return SimpleGraph(["w0"] + rim, [("w0", x) for x in rim] + list(zip(rim, rim[1:] + rim[:1])))
-
-
-def _bw3():
-    """W3 with each rim edge subdivided: the centre c sees x1, x2, x3 of the
-    6-cycle x1 y1 x2 y2 x3 y3."""
-    rim = ["x1", "y1", "x2", "y2", "x3", "y3"]
-    return SimpleGraph(["c"] + rim, [("c", "x1"), ("c", "x2"), ("c", "x3")]
-                       + list(zip(rim, rim[1:] + rim[:1])))
-
-
 def _has_checked_word(G):
     X = word_of(G)
     return X is not None and alternance_graph(X) == G
@@ -197,6 +187,14 @@ def test_word_of_finds_a_word_of_every_circle_graph():
 def test_word_of_refuses_the_circle_graph_obstructions():
     # Bouchet (1994): a graph is a circle graph exactly when it has no
     # vertex-minor isomorphic to W5, W7 or BW3
-    for G in (_wheel(5), _wheel(7), _bw3()):
+    for G in (wheel(5), wheel(7), bw3()):
         assert word_of(G) is None
-    assert all(word_of(M) is None for M in lc_orbit(_wheel(5)))
+    assert all(word_of(M) is None for M in lc_orbit(wheel(5)))
+
+
+def test_word_of_raises_on_a_word_that_does_not_check(monkeypatch):
+    # None means "not a circle graph"; a full word whose alternance graph is
+    # not G is a bug
+    monkeypatch.setattr(words, "alternance_graph", lambda X: complete_graph("xyz"))
+    with pytest.raises(RuntimeError, match="internal error"):
+        word_of(complete_graph("abcd"))
