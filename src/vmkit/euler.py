@@ -42,7 +42,7 @@ class EulerianTour:
         if sorted(self.edge_seq) != list(range(L)):
             raise ValueError("edge_seq must use every edge id exactly once")
         for i, eid in enumerate(self.edge_seq):
-            a, b = self.base.edge_ends(eid)
+            a, b = self.base.edges[eid]
             u = self.vertex_seq[i]
             w = self.vertex_seq[(i + 1) % L]
             if not ((u == a and w == b) or (u == b and w == a)):
@@ -120,13 +120,12 @@ def find_euler_tour(F: MultiGraph) -> EulerianTour:
     only on F.
     """
     _check_eulerian_preconditions(F)
-    ends = F.edges
-    inc = {v: F.incident(v) for v in F.vertices}
-    ptr = {v: 0 for v in F.vertices}
+    ends = F._ends  # the walk runs on vertex positions
+    ptr = [0] * len(F.vertices)
     used = [False] * F.n_edges
 
     def next_unused(v):
-        ids = inc[v]
+        ids = F._inc[v]
         i = ptr[v]
         while i < len(ids) and used[ids[i]]:
             i += 1
@@ -159,7 +158,7 @@ def find_euler_tour(F: MultiGraph) -> EulerianTour:
             tour_e[i:i] = sub_e
         else:
             i += 1
-    return EulerianTour(F, tuple(tour_v[:-1]), tuple(tour_e))
+    return EulerianTour(F, tuple(F.vertices[i] for i in tour_v[:-1]), tuple(tour_e))
 
 
 def tour_from_word(F: MultiGraph, X: Dow) -> EulerianTour:
@@ -203,8 +202,7 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
         raise ValueError("limit must be positive")
     _check_eulerian_preconditions(F)
     L = F.n_edges
-    ends = F.edges
-    inc = {v: F.incident(v) for v in F.vertices}
+    ends = F._ends  # the walk runs on vertex positions, ordered as their labels
     seen = set()
     used = [False] * L
     vseq = [ends[0][0]]
@@ -220,7 +218,7 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
                 used[eid] = True
                 eseq.append(eid)
                 vseq.append(nxt)
-                levels.append(iter(inc[nxt]))
+                levels.append(iter(F._inc[nxt]))
                 break
             # the last edge: even degrees close the walk at the anchor
             key = _class_key(tuple(vseq), (*eseq, eid))
@@ -231,7 +229,7 @@ def enumerate_euler_tours(F: MultiGraph, limit=None):
                     f"more than {limit} tour classes", count=len(seen)
                 )
             seen.add(key)
-            yield EulerianTour(F, key[1], key[0])
+            yield EulerianTour(F, tuple(F.vertices[i] for i in key[1]), key[0])
         else:  # no edge left at this step: backtrack
             levels.pop()
             if eseq:
@@ -410,10 +408,9 @@ def soet_search(F: MultiGraph, vertex_subset, budget=None):
 
     vp = sum(1 << F._index[v] for v in Vp)  # V' over F's positions
     L = F.n_edges
-    ends = [(F._index[a], F._index[b]) for a, b in F.edges]
+    ends = F._ends
     # (edge id, far end) pairs at each position, edge ids ascending
-    nbrs = [[(e, ends[e][1] if ends[e][0] == i else ends[e][0]) for e in F.incident(v)]
-            for i, v in enumerate(F.vertices)]
+    nbrs = [[(e, sum(ends[e]) - i) for e in ids] for i, ids in enumerate(F._inc)]
     # each edge's next-lesser parallel twin, or L: a slot that stays used
     twin = [L] * L
     last = {}

@@ -5,7 +5,8 @@ bitmask rows are the one adjacency representation of both graph classes;
 labels and label-pair edges are their public face.  Simple graphs are
 immutable and hashable.  Multigraphs carry dense integer edge ids assigned
 in input order, and those ids are identity-bearing (tours reference them);
-their rows are those of the simple support, and a loop mask sits beside them.
+their rows are those of the simple support, and a loop mask sits beside them,
+with each edge's end positions and each position's incident edge ids and degree.
 _reach is the package's one reachability search over such rows.
 """
 
@@ -150,15 +151,20 @@ class MultiGraph:
     that tuple is its EdgeId.  Loops contribute 2 to the degree.  Beside the
     edges sit the simple support's rows, as SimpleGraph keeps them over the
     sorted vertex tuple, and loops, the mask of the vertices with a loop.
+    Three private tables, built with them, hold the same edges by position:
+    _ends[eid] is the edge's sorted position pair, _inc[i] the ids of the
+    edges at position i, ascending with a loop once, and _deg[i] its degree.
     """
 
     def __init__(self, vertices, edges=()):
         self.vertices = vs = tuple(sorted(_check_labels(vertices)))
         self._index = index = _index_of(vs)
         rows = [0] * len(vs)
+        inc = [[] for _ in vs]
+        deg = [0] * len(vs)
         loops = 0
-        es = []
-        for u, v in edges:
+        es, ends = [], []
+        for eid, (u, v) in enumerate(edges):
             i, j = index.get(u), index.get(v)
             if i is None or j is None:
                 bad = u if i is None else v
@@ -168,9 +174,14 @@ class MultiGraph:
             else:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
+                inc[j].append(eid)
+            inc[i].append(eid)
+            deg[i] += 1
+            deg[j] += 1
             es.append((u, v) if u <= v else (v, u))
+            ends.append((i, j) if i <= j else (j, i))
         self.edges, self.rows, self.loops = tuple(es), tuple(rows), loops
-        self._inc = None
+        self._ends, self._inc, self._deg = tuple(ends), tuple(map(tuple, inc)), tuple(deg)
 
     @property
     def n_edges(self):
@@ -179,31 +190,14 @@ class MultiGraph:
     def has_vertex(self, v):
         return v in self._index
 
-    def edge_ends(self, eid):
-        return self.edges[eid]
-
-    def _incidence(self):
-        if self._inc is None:
-            inc = {v: [] for v in self.vertices}
-            for eid, (u, v) in enumerate(self.edges):
-                inc[u].append(eid)
-                if v != u:
-                    inc[v].append(eid)
-            self._inc = {v: tuple(ids) for v, ids in inc.items()}
-        return self._inc
+    _pos = SimpleGraph._pos
 
     def incident(self, v):
         """Edge ids touching v, ascending.  A loop appears once."""
-        if v not in self._index:
-            raise ValueError(f"no vertex {v!r}")
-        return self._incidence()[v]
+        return self._inc[self._pos(v)]
 
     def degree(self, v):
-        d = 0
-        for eid in self.incident(v):
-            a, b = self.edges[eid]
-            d += 2 if a == b else 1
-        return d
+        return self._deg[self._pos(v)]
 
     def __eq__(self, other):
         if not isinstance(other, MultiGraph):
@@ -345,7 +339,6 @@ def automorphisms(F):
     maps = islice(_row_maps(F.rows, F.rows, _AUTOMORPHISM_STEPS), 1, _AUTOMORPHISM_CAP)
     if isinstance(F, SimpleGraph):
         return tuple(maps)
-    pos = F._index  # edges are sorted label pairs, so their positions ascend
-    keep = sorted((pos[u], pos[v]) for u, v in F.edges)
+    keep = sorted(F._ends)
     return tuple(p for p in maps
                  if sorted(tuple(sorted((p[i], p[j]))) for i, j in keep) == keep)

@@ -37,7 +37,7 @@ from itertools import combinations
 
 from .errors import ResourceLimitError
 from .euler import enumerate_euler_tours, find_euler_tour, induced_word, iso_soet_decide
-from .graphs import SimpleGraph, _bits, _reach, _restrict, connected_components, find_isomorphism
+from .graphs import SimpleGraph, _reach, _restrict, connected_components, find_isomorphism
 from .lc import DEFAULT_NODE_CAP, _orbit_words, delete_vertex, lc_word_between, local_complement
 from .parallel import orbit_least, scan_subsets
 from .reduction import reduce_starvm_to_isovm, require_connected_cubic
@@ -179,14 +179,14 @@ class _ElimSearch:
     is every member of its LC orbit, and accept rejects a split survivor.
     """
 
-    def __init__(self, G, keep, budget=None, connected_target=True):
+    def __init__(self, G, keep, accept, budget=None, connected_target=True):
         self.labels = G.vertices
         self.rows0 = G.rows
         self.wmask = sum(1 << G._index[v] for v in set(keep))
         self.victims = [i for i in range(len(G.rows)) if not (self.wmask >> i) & 1]
         self.budget = budget
         self.connected_target = connected_target
-        self.accept = None  # rows -> None | (extra ops tuple, payload)
+        self.accept = accept  # rows -> None | (extra ops tuple, payload)
         self.nodes = 0
 
     def run(self):
@@ -346,9 +346,8 @@ def _orbit_buckets(H, cap):
 
 
 def _iso_task(G, connected, buckets, budget, subset):
-    eng = _ElimSearch(G, subset, budget=budget, connected_target=connected)
-    wbits = list(_bits(eng.wmask))
-    wlabels = tuple(eng.labels[i] for i in wbits)
+    wlabels = tuple(sorted(set(subset)))  # the kept vertices, in position order
+    wbits = [G._index[v] for v in wlabels]
     cache = {}
 
     def accept(rows):
@@ -374,8 +373,7 @@ def _iso_task(G, connected, buckets, budget, subset):
         cache[rows] = res
         return res
 
-    eng.accept = accept
-    return eng.run()
+    return _ElimSearch(G, subset, accept, budget=budget, connected_target=connected).run()
 
 
 def iso_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None, deterministic=False,
@@ -469,7 +467,6 @@ def labeled_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None,
         words, connected = _labeled_target(G.vertices, H, orbit_cap)
     except ResourceLimitError as e:
         return Decision("unknown", None, f"orbit of H overflowed: {e}")
-    eng = _ElimSearch(G, H.vertices, budget=budget, connected_target=connected)
 
     def accept(rows):
         word = words.get(rows)
@@ -477,7 +474,7 @@ def labeled_vm_decide(G: SimpleGraph, H: SimpleGraph, budget=None,
             return None
         return tuple(("LC", x) for x in reversed(word)), None
 
-    eng.accept = accept
+    eng = _ElimSearch(G, H.vertices, accept, budget=budget, connected_target=connected)
     try:
         res = eng.run()
     except ResourceLimitError as e:

@@ -475,6 +475,7 @@ def test_pipeline_no(files, tmp_path, capsys):
         assert obj["status"] == "no"
         assert len(obj["files"]) == 5
         assert not os.path.exists(os.path.join(outdir, "ham_cycle.txt"))
+        verify_bundle_chain([parse_bundle(open(path).read()) for path in obj["files"][:4]])
 
 
 # Mutated inputs: valid texts of each format with a few characters inserted,

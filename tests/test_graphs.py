@@ -69,7 +69,7 @@ def test_simple_graph_pickles():
 def test_multigraph_edge_ids_and_degrees():
     F = MultiGraph("ab", [("a", "b"), ("b", "a"), ("a", "a")])
     assert F.edges == (("a", "b"), ("a", "b"), ("a", "a"))
-    assert F.edge_ends(2) == ("a", "a")
+    assert F.edges[2] == ("a", "a")
     assert F.incident("a") == (0, 1, 2)
     assert F.incident("b") == (0, 1)
     assert F.degree("a") == 4 and F.degree("b") == 2
@@ -95,6 +95,30 @@ def test_multigraph_rows_and_loops_match_the_edges():
         assert F.loops == sum(1 << pos[a] for a in {a for a, b in F.edges if a == b}), F
         back = pickle.loads(pickle.dumps(F))
         assert (back.rows, back.loops) == (F.rows, F.loops), F
+
+
+def test_multigraph_tables_match_a_recount():
+    # random multigraphs on 1-8 vertices: loops, parallel edges, isolated
+    # vertices and no edges at all; the first carries two loops at one vertex
+    rng = random.Random(20261020)
+    cases = [MultiGraph("ab", [("a", "a"), ("a", "b"), ("a", "a")])]
+    for _ in range(300):
+        vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+        edges = [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 12))]
+        cases.append(MultiGraph(vs, edges))
+    for F in cases:
+        for v in F.vertices:
+            ids = tuple(e for e, pair in enumerate(F.edges) if v in pair)
+            assert F.incident(v) == ids, (F, v)
+            assert F.degree(v) == sum(pair.count(v) for pair in F.edges), (F, v)
+        back = pickle.loads(pickle.dumps(F))
+        assert (back._ends, back._inc, back._deg) == (F._ends, F._inc, F._deg), F
+        for method in (F.incident, F.degree):
+            with pytest.raises(ValueError, match="no vertex 'z'"):
+                method("z")
+    assert cases[0].incident("a") == (0, 1, 2) and cases[0].degree("a") == 5
+    assert any(not F.edges for F in cases)
+    assert any(F.degree(v) == 0 for F in cases if F.edges for v in F.vertices)
 
 
 def test_multigraph_equality():

@@ -299,7 +299,7 @@ def _pivot_child(rows, v):
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.integers(1, 12).flatmap(lambda n: labeled_graphs([f"v{i:02d}" for i in range(n)])))
 def test_one_pass_children_match_complement_then_delete(G):
-    eng = solvers._ElimSearch(G, ())
+    eng = solvers._ElimSearch(G, (), accept=lambda rows: None)
     rows = G.rows
     for v, lv in enumerate(G.vertices):
         nb = rows[v]
