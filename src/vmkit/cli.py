@@ -133,7 +133,8 @@ def _check_solver_args(args):
         raise _UsageError(f"argument --limit: must be positive, got {args.limit}")
     if not hasattr(args, "workers"):
         return
-    cpus = os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise _UsageError(
             f"argument --workers: must be between 1 and {cpus}, got {args.workers}"

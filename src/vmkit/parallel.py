@@ -4,15 +4,15 @@ scan_subsets reads its subsets in order and ends at the first one that does
 not say NO: a YES is the answer, and a subset that ran out of budget raises
 ResourceLimitError, which names it.  At one worker it searches the subsets
 one at a time in this process.  With N >= 2 workers and at least two
-subsets it forks N worker processes once per scan, each with its own pipe.
-It reads a chunk of CHUNK = 8 subsets only for an idle worker.  A worker
-answers each chunk with its first subset that does not say NO, or with
-nothing, and once a subset has come back no more chunks are read.  Chunks
-come back in any order, but settle in input order, so the scan ends where a
-serial scan ends.  At most two chunks per worker (16 * N subsets) lie past
-the oldest unsettled one: one being searched and one that waits on an older
-one.  The deciders filter their subsets before the scan, so a subset that a
-cheap test rejects never leaves the parent process.
+subsets it forks N worker processes once per scan, each with its own pipe,
+and deals the subsets out in turn: chunk c of CHUNK = 8 subsets goes to
+worker c mod N, which answers with the chunk's first subset that does not
+say NO, or with nothing.  The scan reads the answers in chunk order, so it
+ends where a serial scan ends.  Each worker holds at most two chunks sent
+and not yet read, so at most 16 * N subsets lie past the oldest unsettled
+one, and a YES is seen only once every older chunk has been read.  The
+deciders filter their subsets before the scan, so a subset that a cheap
+test rejects never leaves the parent process.
 
 orbit_least drops each subset that a listed automorphism of the graph maps
 onto an earlier subset, the orderly-generation test of Read (1978) and
@@ -27,7 +27,6 @@ budget, too, a scan of the kept subsets gives the unbudgeted YES or ends at
 a subset that ran out.
 """
 
-from collections import deque
 from functools import lru_cache
 from itertools import chain, islice
 from operator import or_
@@ -116,71 +115,37 @@ def orbit_least(graph, subsets):
             yield s
 
 
-class _Crew:
-    """N forked workers, each on its own pipe, that settle chunks of subsets."""
+def _fork(task, workers):
+    """Fork N workers that run _serve on task, each on its own pipe; the
+    workers and the scan's ends of their pipes."""
+    import multiprocessing  # here, not at import time: most runs never fork
 
-    def __init__(self, task, workers):
-        import multiprocessing  # here, not at import time: most runs never fork
-        from multiprocessing.connection import wait
-
-        self.wait = wait
-        self.procs = {}  # the scan's end of each worker's pipe -> the worker
-        ctx = multiprocessing.get_context("fork")
-        try:
-            for _ in range(workers):
-                mine, theirs = ctx.Pipe()
-                p = ctx.Process(target=_serve, args=(task, theirs), daemon=True)
-                self.procs[mine] = p
-                try:
-                    p.start()
-                finally:
-                    theirs.close()
-        except OSError as e:
-            self.stop()
-            raise WorkerError(e.errno, f"cannot start {workers} workers: {e.strerror}") from e
-        self.idle = list(self.procs)
-        self.busy = {}  # a worker's end -> the slot of the chunk it searches
-
-    def send(self, chunk, slot):
-        """Hand a chunk of subsets to an idle worker; its result goes to slot[0]."""
-        conn = self.idle.pop()
-        self.busy[conn] = slot
-        try:
-            conn.send(chunk)
-        except OSError:
-            self.died(conn)
-
-    def collect(self):
-        """Fill the slots of the chunks that come back next; their results."""
-        out = []
-        for conn in self.wait(list(self.busy)):
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            mine, theirs = ctx.Pipe()
+            procs.append(ctx.Process(target=_serve, args=(task, theirs), daemon=True))
+            conns.append(mine)
             try:
-                res = conn.recv()
-            except (EOFError, OSError):
-                self.died(conn)
-            if isinstance(res, Exception):
-                raise res
-            self.idle.append(conn)
-            self.busy.pop(conn)[0] = res
-            out.append(res)
-        return out
-
-    def died(self, conn):
-        p = self.procs[conn]
-        self.stop()
-        raise WorkerError(None, f"worker process exited with code {p.exitcode}")
-
-    def stop(self):
-        for p in self.procs.values():
-            if p.pid is not None:
-                p.terminate()
-        for conn, p in self.procs.items():
-            if p.pid is not None:
-                p.join()
-            conn.close()
+                procs[-1].start()
+            finally:
+                theirs.close()
+    except OSError as e:
+        _stop(procs, conns)
+        raise WorkerError(e.errno, f"cannot start {workers} workers: {e.strerror}") from e
+    return procs, conns
 
 
-_DUE = object()  # a chunk's result from when it is sent until it comes back
+def _stop(procs, conns):
+    """Terminate and join the workers that started, and close the pipes."""
+    for p in procs:
+        if p.pid is not None:
+            p.terminate()
+    for p, conn in zip(procs, conns):
+        if p.pid is not None:
+            p.join()
+        conn.close()
 
 
 def _end(subset, res):
@@ -198,15 +163,15 @@ def scan_subsets(task, subsets, workers):
     task(subset) returns a payload or None, or raises ResourceLimitError when
     its budget runs out.  subsets may be any iterable, read in order, and
     the scan ends at the first subset that does not say NO, at every worker
-    count.  With N >= 2 workers it reads a chunk of 8 only for an idle
-    worker, which answers with the chunk's first subset that does not say
-    NO, or with nothing; chunks settle in input order, and at most two
-    chunks per worker (16 * N subsets) lie past the oldest unsettled one
+    count.  With N >= 2 workers it deals chunks of 8 to the workers in
+    turn, each of which answers with the chunk's first subset that does
+    not say NO, or with nothing; the answers are read in chunk order, and
+    each worker holds at most two unread chunks, 16 * N subsets in all
     (see the module docstring).  None means every subset said NO; a subset
     that ran out of budget first raises ResourceLimitError, which names it
     and keeps its task's count.  Workers that cannot be forked, or a worker
     that exits during the scan, raise WorkerError; an exception that a task
-    raises in a worker is raised here.
+    raises in a worker is raised here when its chunk is read.
     """
     subsets = iter(subsets)
     head = list(islice(subsets, 2))
@@ -214,24 +179,32 @@ def scan_subsets(task, subsets, workers):
     if workers < 2 or len(head) < 2:
         found = _first(task, subsets)
         return None if found is None else _end(*found)
-    sent = deque()  # a [result] slot per chunk sent and unsettled, oldest first
-    more = True  # subsets remain to be read, and every result back is NO
-    crew = _Crew(task, workers)
+    chunks = iter(lambda: list(islice(subsets, CHUNK)), [])
+    sent = read = 0  # chunk c goes to worker c % workers, and is read in turn
+    procs, conns = _fork(task, workers)
     try:
         while True:
-            while sent and sent[0][0] is not _DUE:  # settle the oldest chunks
-                found = sent.popleft()[0]
-                if found is not None:
-                    return _end(*found)
-            while more and crew.idle and len(sent) < 2 * workers:
-                chunk = list(islice(subsets, CHUNK))
-                more = len(chunk) == CHUNK
-                if chunk:
-                    sent.append([_DUE])
-                    crew.send(chunk, sent[-1])
-            if not sent:
+            if sent - read < 2 * workers and (chunk := next(chunks, None)):
+                w = sent % workers
+                try:
+                    conns[w].send(chunk)
+                except OSError:
+                    break
+                sent += 1
+            elif read < sent:
+                w = read % workers
+                try:
+                    res = conns[w].recv()
+                except (EOFError, OSError):
+                    break
+                read += 1
+                if isinstance(res, Exception):
+                    raise res
+                if res is not None:
+                    return _end(*res)
+            else:
                 return None
-            if any(crew.collect()):
-                more = False  # the scan ends in these chunks or an earlier one
     finally:
-        crew.stop()
+        _stop(procs, conns)
+    # the worker is joined, so its exit code is known
+    raise WorkerError(None, f"worker process exited with code {procs[w].exitcode}")

@@ -214,6 +214,11 @@ def test_workers_and_budget_ranges(worked_file, f0_file, monkeypatch, capsys):
     monkeypatch.setenv("VMKIT_BUDGET", "-1")
     assert run_command(["vm-solve-star", worked_file, "4"]) == 65
     assert "VMKIT_BUDGET must not be negative" in capsys.readouterr().err
+    # the range is the CPUs this process may run on, not the host's count
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_command(["vm-solve-star", worked_file, "4", "--workers", "2"]) == 64
+    assert "argument --workers: must be between 1 and 1, got 2" in capsys.readouterr().err
 
 
 def test_large_cubic_graph_is_decided(files, tmp_path):
@@ -316,6 +321,7 @@ def test_worker_fork_failure(worked_file, w5_file, f0_file, files, monkeypatch, 
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
     k3 = files("k3.graph", serialize_graph(complete_graph("xyz")))
     for argv in (["vm-solve", worked_file, k3], ["vm-solve-star", w5_file, "4"],
@@ -333,6 +339,7 @@ def test_vm_solve_needs_no_worker_for_a_target_that_is_not_a_circle_graph(
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
     G = alternance_graph(induced_word(find_euler_tour(k3_expand(complete_graph("abcd")))))
     g = files("k4_circle.graph", serialize_graph(G))
@@ -354,6 +361,7 @@ def test_worker_exit_is_exit_71(w5_file):
         "        os._exit(3)\n"
         "solvers._iso_task = exits\n"
         "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "sys.exit(run_command(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vmkit.__file__)))

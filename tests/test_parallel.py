@@ -59,7 +59,7 @@ def _log_pid(path, subset):
         fh.write(f"{os.getpid()}\n")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_first_yes_wins_after_open_subsets(workers):
     # open subsets after the first YES, in its chunk and in the next one, do
     # not change the answer
@@ -72,9 +72,11 @@ def test_first_yes_wins_after_open_subsets(workers):
     assert str(e.value) == "subset {20} exhausted the budget"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_scan_stops_at_the_block_of_the_first_yes(workers):
-    # item 40 lies beyond the first block at both worker counts
+    # one or two workers never search item 40; three search it in their
+    # first window, but the scan ends in an older chunk and never reads
+    # its error
     task = partial(_fake, {5}, {20, 35, 47}, {40})
     assert scan_subsets(task, ITEMS, workers) == (frozenset({5}), "payload 5")
 
@@ -85,11 +87,11 @@ def test_one_worker_stops_at_the_first_yes():
     assert scan_subsets(task, ITEMS, 1) == (frozenset({5}), "payload 5")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_open_subsets_without_a_yes_are_counted(workers):
     # the scan ends at the first open subset: the error names it and keeps
-    # the count that its task raised, and item 40 beyond the first block is
-    # never searched
+    # the count that its task raised; one or two workers never search item
+    # 40, and at three workers its error is never read
     task = partial(_fake, set(), OPEN, {40})
     with pytest.raises(ResourceLimitError) as e:
         scan_subsets(task, ITEMS, workers)
@@ -97,7 +99,7 @@ def test_open_subsets_without_a_yes_are_counted(workers):
     assert str(e.value) == f"subset {{{min(OPEN)}}} exhausted the budget"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_no_yes_and_nothing_open_is_no(workers):
     assert scan_subsets(partial(_fake, set(), set(), set()), ITEMS, workers) is None
     assert scan_subsets(partial(_fake, set(), set(), set()), [], workers) is None
@@ -111,37 +113,50 @@ def test_no_yes_and_nothing_open_is_no(workers):
 ])
 def test_no_worker_outlives_a_scan(yes, open_, boom, raises):
     task = partial(_fake, yes, open_, boom)
-    if raises is None:
-        scan_subsets(task, ITEMS, 2)
-    else:
-        with pytest.raises(raises):
-            scan_subsets(task, ITEMS, 2)
-    assert multiprocessing.active_children() == []
+    for workers in (2, 3):
+        if raises is None:
+            scan_subsets(task, ITEMS, workers)
+        else:
+            with pytest.raises(raises):
+                scan_subsets(task, ITEMS, workers)
+        assert multiprocessing.active_children() == []
 
 
 def test_a_worker_that_exits_ends_the_scan():
     # in a child interpreter with a timeout, so that a scan that waits for
-    # the dead worker fails here instead of hanging the suite
+    # the dead worker fails here instead of hanging the suite.  Either every
+    # worker exits at its first subset, or only the worker with chunk 1
+    # exits, while the worker with the older chunk 0 is still searching it.
     script = textwrap.dedent("""
-        import multiprocessing, os
+        import multiprocessing, os, sys, time
         from vmkit.parallel import scan_subsets
 
         parent = os.getpid()
+        workers, case = int(sys.argv[1]), sys.argv[2]
 
         def task(subset):
-            if os.getpid() != parent:
+            if os.getpid() == parent:
+                return
+            if case == "every":
+                os._exit(3)
+            if subset == (0,):
+                time.sleep(0.5)
+            if 8 <= subset[0] < 16:
                 os._exit(3)
 
         try:
-            scan_subsets(task, [(i,) for i in range(50)], 2)
+            scan_subsets(task, [(i,) for i in range(50)], workers)
         except OSError as e:
             print(type(e).__name__, e.strerror, multiprocessing.active_children())
     """)
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(solvers.__file__)))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "WorkerError worker process exited with code 3 []\n"
+    for workers in ("2", "3"):
+        for case in ("every", "younger"):
+            proc = subprocess.run([sys.executable, "-c", script, workers, case], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, (workers, case, proc.stderr)
+            assert proc.stdout == "WorkerError worker process exited with code 3 []\n", \
+                (workers, case)
 
 
 def _slow_first(flag, subset):
@@ -151,20 +166,21 @@ def _slow_first(flag, subset):
 
 
 def test_reads_stop_two_chunks_per_worker_past_the_oldest_unsettled_subset(tmp_path):
-    # item 0 is searched for half a second while the other worker answers
+    # item 0 is searched for half a second while the other workers answer
     # the chunks after it; until item 0 settles, the scan reads at most two
     # chunks per worker
-    flag = tmp_path / "item 0 searched"
-    early = []
+    for workers in (2, 3):
+        flag = tmp_path / f"item 0 searched at {workers} workers"
+        early = []
 
-    def items():
-        for i in range(2000):
-            if not flag.exists():
-                early.append(i)
-            yield (i,)
+        def items():
+            for i in range(2000):
+                if not flag.exists():
+                    early.append(i)
+                yield (i,)
 
-    assert scan_subsets(partial(_slow_first, flag), items(), 2) is None
-    assert len(early) <= 4 * parallel.CHUNK
+        assert scan_subsets(partial(_slow_first, flag), items(), workers) is None
+        assert len(early) <= 2 * workers * parallel.CHUNK
 
 
 def test_one_scan_forks_once(tmp_path):
